@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/obs.h"
 #include "common/span.h"
@@ -35,6 +36,32 @@ double UncertaintyBiasSquared(double uncertainty_sum, uint64_t n, uint64_t N) {
   double bias = static_cast<double>(N) / static_cast<double>(n) *
                 uncertainty_sum;
   return bias * bias;
+}
+
+/// The §5.2 gate shared by the next-sample reductions: nothing is gained
+/// in a census stratum (n + 1 > N). A stratum with fewer than two samples
+/// has an unknown variance and a potentially badly biased estimate;
+/// treating its sample variance (0) at face value would starve it
+/// forever, so it gets top priority, larger strata first. nullopt when
+/// neither applies and the per-pair terms decide.
+std::optional<double> GatedReduction(uint64_t n, uint64_t N, uint64_t total) {
+  if (n + 1 > N) return 0.0;
+  if (n < 2) {
+    return std::numeric_limits<double>::max() / 2.0 *
+           (static_cast<double>(N) / static_cast<double>(total));
+  }
+  return std::nullopt;
+}
+
+/// Adds one pair's §5.2 reduction to `*reduction`: the drop in its
+/// stratum variance term from n to n + 1 samples, then the dilution of the
+/// degraded samples' pessimal bias from (N/n)U to (N/(n+1))U (an extra,
+/// presumed exact, sample). Two separate additions, in this order, as the
+/// estimators have always accumulated them.
+void AddPairReduction(double* reduction, double s2, uint64_t n, double u,
+                      uint64_t N) {
+  *reduction += StratumVarianceTerm(s2, n, N) - StratumVarianceTerm(s2, n + 1, N);
+  *reduction += UncertaintyBiasSquared(u, n, N) - UncertaintyBiasSquared(u, n + 1, N);
 }
 
 }  // namespace
@@ -208,14 +235,8 @@ double IndependentEstimator::VarianceReductionForNext(
   RunningMoments m = StratumMoments(config, strat, stratum);
   uint64_t n = static_cast<uint64_t>(m.count());
   uint64_t N = strat.PopulationOf(stratum);
-  if (n + 1 > N) return 0.0;
-  // A stratum with fewer than two samples has an unknown variance and a
-  // potentially badly biased estimate; treating its sample variance (0)
-  // at face value would starve it forever. Give it top priority, larger
-  // strata first.
-  if (n < 2) {
-    return std::numeric_limits<double>::max() / 2.0 *
-           (static_cast<double>(N) / static_cast<double>(strat.total_population()));
+  if (auto gated = GatedReduction(n, N, strat.total_population())) {
+    return *gated;
   }
   double now = StratumVarianceTerm(m.variance_sample(), n, N);
   double next = StratumVarianceTerm(m.variance_sample(), n + 1, N);
@@ -292,8 +313,12 @@ DeltaEstimator::DeltaEstimator(
     const std::vector<uint64_t>& template_populations)
     : num_configs_(num_configs),
       template_populations_(template_populations),
-      template_counts_(num_templates, 0) {
+      template_counts_(num_templates, 0),
+      avg_stats_(num_templates) {
   PDX_CHECK(template_populations_.size() == num_templates);
+  for (TemplateId t = 0; t < num_templates; ++t) {
+    avg_stats_[t].population = template_populations_[t];
+  }
   raw_.Assign(num_templates * num_configs);
   diff_.Assign(num_templates * num_configs);
   diff_uncertainty_.assign(num_templates * num_configs, 0.0);
@@ -315,6 +340,7 @@ void DeltaEstimator::Add(QueryId qid, TemplateId tmpl,
   PDX_CHECK(uncertainties.empty() || uncertainties.size() == num_configs_);
   PDX_CHECK(tmpl < template_counts_.size());
   template_counts_[tmpl] += 1;
+  ++generation_;
   double ref_cost = costs[reference_];
   PDX_CHECK_MSG(!std::isnan(ref_cost), "reference config not evaluated");
   double ref_u = uncertainties.empty() ? 0.0 : uncertainties[reference_];
@@ -359,6 +385,8 @@ void DeltaEstimator::SetReference(ConfigId reference) {
   PDX_CHECK(reference < num_configs_);
   if (reference == reference_) return;
   reference_ = reference;
+  ++generation_;
+  avg_active_.clear();  // every averaged template row depends on it
   // A reference switch replays every stored sample (O(samples * configs));
   // the counter makes that cost visible in metric dumps.
   ReferenceSwitchCounter()->Add();
@@ -494,6 +522,7 @@ void DeltaEstimator::DiffStats(const Stratification& strat,
   double* acc_mean = scratch->mean.data();
   double* acc_m2 = scratch->m2.data();
   double* usum = scratch->sums.data();
+  scratch->PrepareRows(strat.num_strata(), k);
   std::fill(diff_out.begin(), diff_out.end(), 0.0);
   std::fill(var_out.begin(), var_out.end(), 0.0);
   for (uint32_t h = 0; h < strat.num_strata(); ++h) {
@@ -501,6 +530,7 @@ void DeltaEstimator::DiffStats(const Stratification& strat,
     std::fill_n(acc_mean, k, 0.0);
     std::fill_n(acc_m2, k, 0.0);
     std::fill_n(usum, k, 0.0);
+    uint64_t samples = 0;
     // Per-stratum merge, config-contiguous inner loop: each config's
     // merged state is built in the same template order as the scalar
     // DiffEstimate/DiffVariance pair, so means and variances derived from
@@ -511,17 +541,27 @@ void DeltaEstimator::DiffStats(const Stratification& strat,
                        diff_.m2.data() + base, acc_n, acc_mean, acc_m2, k);
       const double* u_row = diff_uncertainty_.data() + base;
       for (size_t c = 0; c < k; ++c) usum[c] += u_row[c];
+      samples += template_counts_[t];
     }
     const double pop = static_cast<double>(strat.PopulationOf(h));
     const uint64_t pop_u = strat.PopulationOf(h);
+    double* row_n = scratch->row_n.data() + h * k;
+    double* row_s2 = scratch->row_s2.data() + h * k;
+    double* row_u = scratch->row_u.data() + h * k;
     for (size_t c = 0; c < k; ++c) {
       const uint64_t n = static_cast<uint64_t>(acc_n[c]);
       if (n > 0) diff_out[c] += pop * acc_mean[c];
       const double s2 = n > 1 ? acc_m2[c] / (acc_n[c] - 1.0) : 0.0;
       var_out[c] += StratumVarianceTerm(s2, n, pop_u);
       var_out[c] += UncertaintyBiasSquared(usum[c], n, pop_u);
+      row_n[c] = acc_n[c];
+      row_s2[c] = s2;
+      row_u[c] = usum[c];
     }
+    scratch->row_samples[h] = samples;
   }
+  scratch->rows_generation = generation_;
+  scratch->rows_strata = strat.num_strata();
 }
 
 void DeltaEstimator::Estimates(const Stratification& strat,
@@ -562,11 +602,8 @@ double DeltaEstimator::VarianceReductionForNext(
   uint64_t N = strat.PopulationOf(stratum);
   // Shared sample: the per-stratum count is the same for every pair.
   uint64_t n = SamplesIn(strat, stratum);
-  if (n + 1 > N) return 0.0;
-  // Under-sampled strata first (see IndependentEstimator note).
-  if (n < 2) {
-    return std::numeric_limits<double>::max() / 2.0 *
-           (static_cast<double>(N) / static_cast<double>(strat.total_population()));
+  if (auto gated = GatedReduction(n, N, strat.total_population())) {
+    return *gated;
   }
   double reduction = 0.0;
   for (ConfigId j = 0; j < num_configs_; ++j) {
@@ -577,11 +614,33 @@ double DeltaEstimator::VarianceReductionForNext(
     }
     uint64_t nj = static_cast<uint64_t>(merged.count());
     if (nj + 1 > N) continue;
-    reduction += StratumVarianceTerm(merged.variance_sample(), nj, N) -
-                 StratumVarianceTerm(merged.variance_sample(), nj + 1, N);
-    double u = StratumDiffUncertainty(j, strat, stratum);
-    reduction += UncertaintyBiasSquared(u, nj, N) -
-                 UncertaintyBiasSquared(u, nj + 1, N);
+    AddPairReduction(&reduction, merged.variance_sample(), nj,
+                     StratumDiffUncertainty(j, strat, stratum), N);
+  }
+  return reduction;
+}
+
+double DeltaEstimator::VarianceReductionFromRows(
+    const EstimatorScratch& rows, const Stratification& strat,
+    uint32_t stratum, const std::vector<bool>& active) const {
+  PDX_CHECK(active.size() == num_configs_);
+  PDX_CHECK_MSG(RowsCurrent(strat, rows),
+                "stale stratum rows: sweep DiffStats after Add, "
+                "SetReference or Split");
+  PDX_CHECK(stratum < strat.num_strata());
+  const uint64_t N = strat.PopulationOf(stratum);
+  if (auto gated = GatedReduction(rows.row_samples[stratum], N,
+                                  strat.total_population())) {
+    return *gated;
+  }
+  double reduction = 0.0;
+  const size_t base = static_cast<size_t>(stratum) * num_configs_;
+  for (ConfigId j = 0; j < num_configs_; ++j) {
+    if (!active[j] || j == reference_) continue;
+    const uint64_t nj = static_cast<uint64_t>(rows.row_n[base + j]);
+    if (nj + 1 > N) continue;
+    AddPairReduction(&reduction, rows.row_s2[base + j], nj,
+                     rows.row_u[base + j], N);
   }
   return reduction;
 }
@@ -616,18 +675,25 @@ uint64_t DeltaEstimator::SamplesIn(const Stratification& strat,
   return n;
 }
 
-std::vector<TemplateStats> DeltaEstimator::AveragedDiffTemplateStats(
-    const std::vector<bool>& active) const {
+const std::vector<TemplateStats>& DeltaEstimator::AveragedDiffTemplateStats(
+    const std::vector<bool>& active) {
   PDX_CHECK(active.size() == num_configs_);
-  size_t T = template_populations_.size();
-  std::vector<TemplateStats> out(T);
   size_t num_active_pairs = 0;
   for (ConfigId j = 0; j < num_configs_; ++j) {
     if (active[j] && j != reference_) ++num_active_pairs;
   }
-  for (TemplateId t = 0; t < T; ++t) {
-    out[t].population = template_populations_[t];
-    out[t].observations = template_counts_[t];
+  // A row depends on its template's cells, the reference and the mask. A
+  // reference switch clears avg_active_, so under an unchanged reference
+  // and mask only the templates sampled since the last call changed —
+  // exactly those whose count the row has not seen.
+  const bool rebuild = avg_active_ != active;
+  if (rebuild) avg_active_ = active;
+  for (TemplateId t = 0; t < avg_stats_.size(); ++t) {
+    TemplateStats& row = avg_stats_[t];
+    if (!rebuild && row.observations == template_counts_[t]) continue;
+    row.observations = template_counts_[t];
+    row.mean = 0.0;
+    row.variance = 0.0;
     if (num_active_pairs == 0) continue;
     double mean_abs = 0.0;
     double var = 0.0;
@@ -641,10 +707,10 @@ std::vector<TemplateStats> DeltaEstimator::AveragedDiffTemplateStats(
     // Single ranking over the pairs (§5.1): order templates by the average
     // magnitude of their cost differences; score splits by average
     // difference variance.
-    out[t].mean = mean_abs / static_cast<double>(num_active_pairs);
-    out[t].variance = var / static_cast<double>(num_active_pairs);
+    row.mean = mean_abs / static_cast<double>(num_active_pairs);
+    row.variance = var / static_cast<double>(num_active_pairs);
   }
-  return out;
+  return avg_stats_;
 }
 
 }  // namespace pdx

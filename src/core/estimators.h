@@ -72,14 +72,29 @@ struct MomentSoA {
 /// Caller-owned reusable buffers for the batched estimator kernels
 /// (DiffStats / Estimates). The no-allocation rule for estimator hot
 /// loops: a selection loop allocates one scratch up front and every
-/// per-round kernel call reuses it — the kernels themselves never touch
-/// the heap after the first Prepare. The merged-moment accumulators are
+/// per-round kernel call reuses it — the kernels themselves touch the
+/// heap only to grow it (the first Prepare, and the stratum rows once per
+/// split). The merged-moment accumulators are
 /// SoA for the same lanewise-merge reason as MomentSoA.
 struct EstimatorScratch {
   /// Per-config merged stratum moments (count / mean / M2 components).
   std::vector<double> n, mean, m2;
   /// Per-config summed uncertainty half-widths of the current stratum.
   std::vector<double> sums;
+
+  /// Per-(stratum, config) rows the last DiffStats sweep kept, row
+  /// h * k + c: the merged count, sample variance and summed uncertainty
+  /// half-width of config c's differences in stratum h. The §5.2
+  /// next-sample reduction reads them instead of re-merging the stratum
+  /// (DeltaEstimator::VarianceReductionFromRows).
+  std::vector<double> row_n, row_s2, row_u;
+  /// Per-stratum shared sample counts at sweep time.
+  std::vector<uint64_t> row_samples;
+  /// What the rows describe: the estimator's mutation count and the
+  /// stratum count at sweep time. Any later Add or reference switch moves
+  /// the former, any Split the latter, and the rows are stale.
+  uint64_t rows_generation = UINT64_MAX;
+  size_t rows_strata = 0;
 
   /// Ensures capacity for `k` configurations (grows only; values are
   /// reset by the kernels per stratum).
@@ -90,6 +105,17 @@ struct EstimatorScratch {
       m2.resize(k, 0.0);
       sums.resize(k, 0.0);
     }
+  }
+
+  /// Ensures room for rows of `strata` strata over `k` configurations
+  /// (grows only: a split adds one stratum).
+  void PrepareRows(size_t strata, size_t k) {
+    if (row_n.size() < strata * k) {
+      row_n.resize(strata * k, 0.0);
+      row_s2.resize(strata * k, 0.0);
+      row_u.resize(strata * k, 0.0);
+    }
+    if (row_samples.size() < strata) row_samples.resize(strata, 0);
   }
 };
 
@@ -256,9 +282,19 @@ class DeltaEstimator {
   /// the batch also halves the merge work). Both spans must have
   /// num_configs elements; entries for the reference or inactive
   /// configurations are computed too (harmless — callers ignore them).
-  /// Zero allocation after scratch->Prepare's first growth.
+  /// The sweep also keeps its per-(stratum, config) rows in the scratch
+  /// for VarianceReductionFromRows. Zero allocation once the scratch has
+  /// grown to the run's configuration and stratum counts.
   void DiffStats(const Stratification& strat, EstimatorScratch* scratch,
                  std::span<double> diff_out, std::span<double> var_out) const;
+
+  /// True while `scratch` holds the rows of a DiffStats sweep over the
+  /// current samples, reference and stratification `strat`.
+  bool RowsCurrent(const Stratification& strat,
+                   const EstimatorScratch& scratch) const {
+    return scratch.rows_generation == generation_ &&
+           scratch.rows_strata == strat.num_strata();
+  }
 
   /// Batched Estimate over all configurations; out[c] bit-identical to
   /// Estimate(c, strat). Zero allocation (see DiffStats).
@@ -266,9 +302,19 @@ class DeltaEstimator {
                  std::span<double> out) const;
 
   /// Sum over active pairs (ref, j) of the variance reduction from one
-  /// more sample in `stratum` (§5.2 for Delta Sampling).
+  /// more sample in `stratum` (§5.2 for Delta Sampling). Re-merges the
+  /// stratum per pair: the scalar oracle of VarianceReductionFromRows.
   double VarianceReductionForNext(const Stratification& strat, uint32_t stratum,
                                   const std::vector<bool>& active) const;
+
+  /// VarianceReductionForNext read from the rows of the round's DiffStats
+  /// sweep in O(num_configs) — bit-identical, since each row is the same
+  /// merged state in the same template order. The rows must be current
+  /// (RowsCurrent); `active` may have changed since the sweep.
+  double VarianceReductionFromRows(const EstimatorScratch& rows,
+                                   const Stratification& strat,
+                                   uint32_t stratum,
+                                   const std::vector<bool>& active) const;
 
   /// Samples drawn in `stratum` (shared across configs).
   uint64_t SamplesIn(const Stratification& strat, uint32_t stratum) const;
@@ -292,9 +338,14 @@ class DeltaEstimator {
   double UnobservedPopulationShare() const;
 
   /// Per-template stats of the difference distributions, averaged over
-  /// active pairs (the "single ranking" of §5.1's Delta note).
-  std::vector<TemplateStats> AveragedDiffTemplateStats(
-      const std::vector<bool>& active) const;
+  /// active pairs (the "single ranking" of §5.1's Delta note). Maintained
+  /// across calls: only templates sampled since the previous call are
+  /// recomputed; a reference switch or a different `active` mask rebuilds
+  /// every row. Each row is the full recompute's arithmetic, so the
+  /// result is bit-identical to a fresh estimator's. The reference stays
+  /// valid until the next call.
+  const std::vector<TemplateStats>& AveragedDiffTemplateStats(
+      const std::vector<bool>& active);
 
  private:
   struct SampleRecord {
@@ -334,6 +385,14 @@ class DeltaEstimator {
   /// Per-template shared sample counts.
   std::vector<uint64_t> template_counts_;
   ConfigId reference_ = 0;
+  /// Mutation count: bumped by every Add and reference switch, so swept
+  /// stratum rows can tell they are stale (RowsCurrent).
+  uint64_t generation_ = 0;
+  /// AveragedDiffTemplateStats rows and the active mask they were built
+  /// under (cleared by a reference switch). A row is stale when its
+  /// observation count trails template_counts_.
+  std::vector<TemplateStats> avg_stats_;
+  std::vector<bool> avg_active_;
 };
 
 }  // namespace pdx

@@ -243,11 +243,17 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
         }
         if (drawn >= query_budget) break;
 
+        // The next-sample choice reads the stratum rows of a DiffStats
+        // sweep: the split search's when it ran and split nothing, a
+        // fresh one otherwise.
+        if (!est.RowsCurrent(strat, scratch)) {
+          est.DiffStats(strat, &scratch, diffs_buf, vars_buf);
+        }
         uint32_t chosen = 0;
         double best_score = -1.0;
         for (uint32_t h = 0; h < strat.num_strata(); ++h) {
           if (pool.RemainingInStratum(strat, h) == 0) continue;
-          double red = est.VarianceReductionForNext(strat, h, active);
+          double red = est.VarianceReductionFromRows(scratch, strat, h, active);
           if (options.overhead_aware) {
             red /= StratumMeanOverhead(strat, h, overheads, pops);
           }

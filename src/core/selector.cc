@@ -233,6 +233,11 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
   std::vector<double> batch_vals(k, 0.0);
   std::vector<ConfigId> batch_ids;
   batch_ids.reserve(k);
+  std::vector<double> pairwise;
+  pairwise.reserve(k);
+  std::vector<double> gaps(k, 0.0);
+  std::vector<double> ses(k, 0.0);
+  std::vector<double> pair_prcs(k, 1.0);
   // Per-round phase spans are decimated (SampledSpanRound); run-level
   // spans above are not. False through the pilot — the pilot span's
   // tracked counter already accounts for its what-if calls, and per-call
@@ -338,11 +343,11 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     // Pairwise Pr(CS) and the Bonferroni bound (eq. 3). DiffStats computes
     // every pair's estimate and variance from one merged-moment sweep —
     // the same merged state the scalar DiffEstimate/DiffVariance pair
-    // derived twice — so gaps, ses and Pr(CS) match bit for bit.
-    std::vector<double> pairwise;
-    pairwise.reserve(k - 1);
-    std::vector<double> gaps(k, 0.0);
-    std::vector<double> ses(k, 0.0);
+    // derived twice — so gaps, ses and Pr(CS) match bit for bit. The
+    // sweep's per-stratum rows also serve the next-sample choice below.
+    pairwise.clear();
+    std::fill(gaps.begin(), gaps.end(), 0.0);
+    std::fill(ses.begin(), ses.end(), 0.0);
     size_t active_pairs = 0;
     double pr = 0.0;
     {
@@ -478,11 +483,9 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     // tightens the Bonferroni bound (the envelope contains the true cost,
     // so a dominated configuration is certainly not the true argmin).
     if (budget) {
-      std::vector<double> pair_prcs(k, 1.0);
       size_t pp_idx = 0;
       for (ConfigId j = 0; j < k; ++j) {
-        if (j == best) continue;
-        pair_prcs[j] = pairwise[pp_idx++];
+        pair_prcs[j] = j == best ? 1.0 : pairwise[pp_idx++];
       }
       std::vector<ConfigId> dominated =
           budget->DecideRound(iteration, best, active, pair_prcs, pr);
@@ -521,7 +524,7 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
         target_se = std::min(target_se, se_needed);
       }
       if (std::isfinite(target_se) && target_se > 0.0) {
-        std::vector<TemplateStats> tstats =
+        const std::vector<TemplateStats>& tstats =
             est.AveragedDiffTemplateStats(active);
         const uint64_t split_t0 = obs::TimerStart();
         SplitDecision dec =
@@ -559,14 +562,18 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
 
     // Next sample (§5.2): stratum with the largest estimated reduction in
     // the sum of active pair variances, optionally per unit of optimizer
-    // overhead.
+    // overhead, read from the round's stratum rows. Only a split (new
+    // stratum, top-up samples) leaves them stale; that round sweeps again.
     obs::SpanScope sample_span(span_round, "sample", "selector",
                                WhatIfTracked());
+    if (!est.RowsCurrent(strat, scratch)) {
+      est.DiffStats(strat, &scratch, diffs_buf, vars_buf);
+    }
     uint32_t chosen = 0;
     double best_score = -1.0;
     for (uint32_t h = 0; h < strat.num_strata(); ++h) {
       if (pool.RemainingInStratum(strat, h) == 0) continue;
-      double red = est.VarianceReductionForNext(strat, h, active);
+      double red = est.VarianceReductionFromRows(scratch, strat, h, active);
       if (options_.overhead_aware) {
         red /= StratumMeanOverhead(strat, h, overheads, pops);
       }

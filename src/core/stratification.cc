@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/macros.h"
 #include "core/pr_cs.h"
 
 namespace pdx {
 
-StratumEstimate EstimateStratum(const std::vector<TemplateId>& templates,
-                                const std::vector<TemplateStats>& stats) {
+namespace {
+
+StratumEstimate EstimateSpan(std::span<const TemplateId> templates,
+                             const std::vector<TemplateStats>& stats) {
   StratumEstimate out;
   double weighted_mean = 0.0;
   for (TemplateId t : templates) {
@@ -30,6 +33,13 @@ StratumEstimate EstimateStratum(const std::vector<TemplateId>& templates,
   }
   out.variance = var / w;
   return out;
+}
+
+}  // namespace
+
+StratumEstimate EstimateStratum(const std::vector<TemplateId>& templates,
+                                const std::vector<TemplateStats>& stats) {
+  return EstimateSpan(templates, stats);
 }
 
 Stratification::Stratification(
@@ -253,6 +263,14 @@ SplitDecision FindBestSplit(const Stratification& strat,
   std::vector<double> expected = NeymanAllocation(
       populations, stddevs, static_cast<double>(min_sam), lo);
 
+  // Candidate buffers, reused across strata and cuts: the ordered member
+  // list (each cut's two parts are spans of it) and the per-stratum
+  // aggregates with stratum j replaced by part 1 and part 2 appended.
+  std::vector<TemplateId> ordered;
+  std::vector<double> pops2, vars2, lo2;
+  pops2.reserve(L + 1);
+  vars2.reserve(L + 1);
+  lo2.reserve(L + 1);
   for (uint32_t j = 0; j < L; ++j) {
     if (expected[j] < 2.0 * static_cast<double>(n_min)) continue;
     const std::vector<TemplateId>& members = strat.TemplatesOf(j);
@@ -269,22 +287,21 @@ SplitDecision FindBestSplit(const Stratification& strat,
     if (!all_observed) continue;
 
     // Order member templates by estimated average cost.
-    std::vector<TemplateId> ordered = members;
+    ordered.assign(members.begin(), members.end());
     std::sort(ordered.begin(), ordered.end(), [&](TemplateId a, TemplateId b) {
       return stats[a].mean < stats[b].mean;
     });
 
     // Evaluate every split point.
+    const std::span<const TemplateId> all(ordered);
     for (size_t cut = 1; cut < ordered.size(); ++cut) {
-      std::vector<TemplateId> part1(ordered.begin(), ordered.begin() + cut);
-      std::vector<TemplateId> part2(ordered.begin() + cut, ordered.end());
-      StratumEstimate e1 = EstimateStratum(part1, stats);
-      StratumEstimate e2 = EstimateStratum(part2, stats);
+      StratumEstimate e1 = EstimateSpan(all.first(cut), stats);
+      StratumEstimate e2 = EstimateSpan(all.subspan(cut), stats);
       if (e1.population == 0 || e2.population == 0) continue;
 
-      std::vector<double> pops2 = populations;
-      std::vector<double> vars2 = variances;
-      std::vector<double> lo2 = lo;
+      pops2.assign(populations.begin(), populations.end());
+      vars2.assign(variances.begin(), variances.end());
+      lo2.assign(lo.begin(), lo.end());
       pops2[j] = static_cast<double>(e1.population);
       vars2[j] = e1.variance;
       lo2[j] = std::max<double>(n_min, static_cast<double>(e1.observations));
@@ -298,7 +315,7 @@ SplitDecision FindBestSplit(const Stratification& strat,
       if (sam < out.est_total_samples) {
         out.beneficial = true;
         out.stratum = j;
-        out.part1 = std::move(part1);
+        out.part1.assign(ordered.begin(), ordered.begin() + cut);
         out.est_total_samples = sam;
       }
     }

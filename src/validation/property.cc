@@ -676,14 +676,138 @@ std::string CheckIndependentMatchesDeltaAtCensus(const MatrixInstance& inst) {
   return "";
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The per-round reuse paths of the Delta selector against their oracles,
+// over a random Add stream: the §5.2 reduction read from DiffStats' stratum
+// rows against the scalar re-merge for every stratum, and the
+// incrementally maintained averaged template stats against a fresh
+// estimator fed the same samples. The stream mixes NaN cells of
+// eliminated configurations, degraded (uncertain) samples, reference
+// switches, active-mask changes and splits.
+std::string CheckRoundReuseMatchesOracles(const MatrixInstance& inst,
+                                          const std::vector<uint64_t>& pops) {
+  const size_t k = inst.num_configs;
+  const size_t nq = inst.num_queries();
+  Rng rng(inst.seed ^ 0x5EEB5);
+  DeltaEstimator est(k, inst.num_templates, pops);
+  Stratification strat(pops);
+  EstimatorScratch scratch;
+  std::vector<double> diffs(k, 0.0), vars(k, 0.0);
+  std::vector<bool> eliminated(k, false);
+  std::vector<bool> active(k, true);
+  // The stream so far, for the fresh-estimator replay: flat k-wide cost
+  // and uncertainty rows, and which samples arrived degraded.
+  std::vector<double> costs_log, uncerts_log;
+  std::vector<bool> uncertain_log;
+  std::vector<double> costs(k, 0.0), uncerts(k, 0.0);
+  for (QueryId q = 0; q < nq; ++q) {
+    // Eliminate a non-reference configuration now and then: its cells are
+    // NaN from here on, and it can never become the reference again.
+    if (rng.NextBounded(6) == 0) {
+      const ConfigId c = static_cast<ConfigId>(rng.NextBounded(k));
+      if (c != est.reference()) eliminated[c] = true;
+    }
+    const bool uncertain = rng.NextBounded(4) == 0;
+    for (ConfigId c = 0; c < k; ++c) {
+      costs[c] = eliminated[c] ? std::numeric_limits<double>::quiet_NaN()
+                               : inst.costs[q][c];
+      uncerts[c] = uncertain && !eliminated[c] && rng.NextBounded(2) == 0
+                       ? 0.02 * inst.costs[q][c]
+                       : 0.0;
+    }
+    est.Add(q, inst.templates[q], costs,
+            uncertain ? std::span<const double>(uncerts)
+                      : std::span<const double>());
+    costs_log.insert(costs_log.end(), costs.begin(), costs.end());
+    uncerts_log.insert(uncerts_log.end(), uncerts.begin(), uncerts.end());
+    uncertain_log.push_back(uncertain);
+    if (est.RowsCurrent(strat, scratch)) return "stratum rows survived an Add";
+
+    switch (rng.NextBounded(4)) {
+      case 0: {  // reference switch among the live configurations
+        const ConfigId c = static_cast<ConfigId>(rng.NextBounded(k));
+        if (!eliminated[c] && c != est.reference()) {
+          est.DiffStats(strat, &scratch, diffs, vars);
+          est.SetReference(c);
+          if (est.RowsCurrent(strat, scratch)) {
+            return "stratum rows survived a reference switch";
+          }
+        }
+        break;
+      }
+      case 1: {  // active-mask change (rows do not depend on the mask)
+        const ConfigId c = static_cast<ConfigId>(rng.NextBounded(k));
+        active[c] = !active[c];
+        break;
+      }
+      case 2: {  // split a random stratum
+        const uint32_t h =
+            static_cast<uint32_t>(rng.NextBounded(strat.num_strata()));
+        const std::vector<TemplateId>& members = strat.TemplatesOf(h);
+        if (members.size() < 2) break;
+        est.DiffStats(strat, &scratch, diffs, vars);
+        strat.Split(h, std::vector<TemplateId>(
+                           members.begin(),
+                           members.begin() + 1 +
+                               rng.NextBounded(members.size() - 1)));
+        if (est.RowsCurrent(strat, scratch)) {
+          return "stratum rows survived a split";
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    if (rng.NextBounded(3) != 0 && q + 1 < nq) continue;
+
+    est.DiffStats(strat, &scratch, diffs, vars);
+    for (uint32_t h = 0; h < strat.num_strata(); ++h) {
+      const double rows = est.VarianceReductionFromRows(scratch, strat, h,
+                                                        active);
+      const double scalar = est.VarianceReductionForNext(strat, h, active);
+      if (!SameBits(rows, scalar)) {
+        return StringFormat(
+            "row reduction %.17g != scalar %.17g (stratum %u, %u samples)",
+            rows, scalar, h, q + 1);
+      }
+    }
+    const std::vector<TemplateStats>& kept =
+        est.AveragedDiffTemplateStats(active);
+    DeltaEstimator fresh(k, inst.num_templates, pops);
+    fresh.SetReference(est.reference());
+    for (QueryId i = 0; i <= q; ++i) {
+      fresh.Add(i, inst.templates[i],
+                std::span<const double>(costs_log.data() + i * k, k),
+                uncertain_log[i]
+                    ? std::span<const double>(uncerts_log.data() + i * k, k)
+                    : std::span<const double>());
+    }
+    const std::vector<TemplateStats>& full =
+        fresh.AveragedDiffTemplateStats(active);
+    for (TemplateId t = 0; t < inst.num_templates; ++t) {
+      if (kept[t].population != full[t].population ||
+          kept[t].observations != full[t].observations ||
+          !SameBits(kept[t].mean, full[t].mean) ||
+          !SameBits(kept[t].variance, full[t].variance)) {
+        return StringFormat(
+            "maintained template stats differ from a full recompute "
+            "(template %u, %u samples)",
+            t, q + 1);
+      }
+    }
+  }
+  return "";
+}
+
 std::string CheckBatchedMatchesScalarBitwise(const MatrixInstance& inst) {
   // The batched cost API (CostMany / CostAcross) and the batched estimator
   // kernels (Estimates / DiffStats) must be BIT-identical to their scalar
   // counterparts on every generator shape — batching is a layout/dispatch
-  // optimization and may not move a single ulp.
-  auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
+  // optimization and may not move a single ulp. So must the per-round
+  // reuse of the kernels' results (CheckRoundReuseMatchesOracles).
   std::vector<uint64_t> pops(inst.num_templates, 0);
   for (TemplateId t : inst.templates) ++pops[t];
   MatrixCostSource src(inst.costs, inst.templates,
@@ -701,7 +825,7 @@ std::string CheckBatchedMatchesScalarBitwise(const MatrixInstance& inst) {
     std::span<double> out(buf.data(), nq);
     src.CostMany(qids, c, out);
     for (size_t q = 0; q < nq; ++q) {
-      if (!same_bits(out[q], src.Cost(static_cast<QueryId>(q), c))) {
+      if (!SameBits(out[q], src.Cost(static_cast<QueryId>(q), c))) {
         return StringFormat("CostMany(q=%zu, c=%u) differs from Cost", q, c);
       }
     }
@@ -710,7 +834,7 @@ std::string CheckBatchedMatchesScalarBitwise(const MatrixInstance& inst) {
     std::span<double> out(buf.data(), k);
     src.CostAcross(q, cids, out);
     for (size_t c = 0; c < k; ++c) {
-      if (!same_bits(out[c], src.Cost(q, static_cast<ConfigId>(c)))) {
+      if (!SameBits(out[c], src.Cost(q, static_cast<ConfigId>(c)))) {
         return StringFormat("CostAcross(q=%u, c=%zu) differs from Cost", q, c);
       }
     }
@@ -741,17 +865,17 @@ std::string CheckBatchedMatchesScalarBitwise(const MatrixInstance& inst) {
   est.Estimates(strat, &scratch, estimates);
   est.DiffStats(strat, &scratch, diffs, vars);
   for (ConfigId c = 0; c < k; ++c) {
-    if (!same_bits(estimates[c], est.Estimate(c, strat))) {
+    if (!SameBits(estimates[c], est.Estimate(c, strat))) {
       return StringFormat("Estimates[%u] differs from Estimate", c);
     }
-    if (!same_bits(diffs[c], est.DiffEstimate(c, strat))) {
+    if (!SameBits(diffs[c], est.DiffEstimate(c, strat))) {
       return StringFormat("DiffStats diff[%u] differs from DiffEstimate", c);
     }
-    if (!same_bits(vars[c], est.DiffVariance(c, strat))) {
+    if (!SameBits(vars[c], est.DiffVariance(c, strat))) {
       return StringFormat("DiffStats var[%u] differs from DiffVariance", c);
     }
   }
-  return "";
+  return CheckRoundReuseMatchesOracles(inst, pops);
 }
 
 std::string CheckDominanceEliminationSound(const MatrixInstance& inst) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -270,6 +271,95 @@ TEST(DeltaEstimatorTest, BatchedStatsMatchScalarBitwise) {
     EXPECT_EQ(std::memcmp(&diffs[c], &d, sizeof(double)), 0) << "c=" << c;
     EXPECT_EQ(std::memcmp(&vars[c], &v, sizeof(double)), 0) << "c=" << c;
   }
+}
+
+// The Delta selector reuses each round's DiffStats sweep for the §5.2
+// next-sample choice and keeps the averaged template stats across rounds.
+// Both must match their oracles bit for bit — the scalar per-pair
+// re-merge and a fresh estimator fed the same samples — through NaN cells
+// of eliminated configurations, degraded samples, reference switches,
+// active-mask changes and splits.
+TEST(DeltaEstimatorTest, RoundReuseMatchesOraclesBitwise) {
+  MatrixCostSource src = SyntheticMatrix(300, 5, 6, 0.1, 31);
+  std::vector<uint64_t> pops = PopsOf(src);
+  const size_t k = 5;
+  DeltaEstimator est(k, 6, pops);
+  Stratification strat(pops);
+  EstimatorScratch scratch;
+  std::vector<double> diffs(k), vars(k), costs(k), uncerts(k);
+  std::vector<bool> active(k, true);
+  std::vector<QueryId> drawn;
+  Rng rng(32);
+  StratifiedSamplePool pool(src, &rng);
+
+  // Sample i of the stream: config 4 is eliminated from the 41st sample
+  // on (NaN cells), and every query id divisible by 5 arrives degraded.
+  auto add_sample = [&](DeltaEstimator* e, size_t i) {
+    const QueryId q = drawn[i];
+    for (ConfigId c = 0; c < k; ++c) {
+      costs[c] = c == 4 && i >= 40 ? std::numeric_limits<double>::quiet_NaN()
+                                   : src.Cost(q, c);
+      uncerts[c] = c % 2 == 0 ? 0.03 * src.Cost(q, c) : 0.0;
+    }
+    e->Add(q, src.TemplateOf(q), costs,
+           q % 5 == 0 ? std::span<const double>(uncerts)
+                      : std::span<const double>());
+  };
+  auto add = [&](QueryId q) {
+    drawn.push_back(q);
+    add_sample(&est, drawn.size() - 1);
+  };
+  auto expect_oracles = [&](const char* when) {
+    SCOPED_TRACE(when);
+    est.DiffStats(strat, &scratch, diffs, vars);
+    ASSERT_TRUE(est.RowsCurrent(strat, scratch));
+    for (uint32_t h = 0; h < strat.num_strata(); ++h) {
+      const double rows = est.VarianceReductionFromRows(scratch, strat, h,
+                                                        active);
+      const double scalar = est.VarianceReductionForNext(strat, h, active);
+      EXPECT_EQ(std::memcmp(&rows, &scalar, sizeof(double)), 0)
+          << "stratum " << h << ": " << rows << " vs " << scalar;
+    }
+    const std::vector<TemplateStats> kept =
+        est.AveragedDiffTemplateStats(active);
+    DeltaEstimator fresh(k, 6, pops);
+    fresh.SetReference(est.reference());
+    for (size_t i = 0; i < drawn.size(); ++i) add_sample(&fresh, i);
+    const std::vector<TemplateStats>& full =
+        fresh.AveragedDiffTemplateStats(active);
+    ASSERT_EQ(kept.size(), full.size());
+    for (size_t t = 0; t < kept.size(); ++t) {
+      EXPECT_EQ(kept[t].population, full[t].population);
+      EXPECT_EQ(kept[t].observations, full[t].observations);
+      EXPECT_EQ(std::memcmp(&kept[t].mean, &full[t].mean, sizeof(double)), 0)
+          << "template " << t;
+      EXPECT_EQ(
+          std::memcmp(&kept[t].variance, &full[t].variance, sizeof(double)),
+          0)
+          << "template " << t;
+    }
+  };
+
+  for (int i = 0; i < 30; ++i) add(*pool.DrawGlobal(&rng));
+  expect_oracles("pilot");
+  for (int i = 0; i < 20; ++i) add(*pool.DrawGlobal(&rng));
+  EXPECT_FALSE(est.RowsCurrent(strat, scratch));  // Add invalidates
+  expect_oracles("after 20 more samples, config 4 eliminated");
+  active[4] = false;
+  expect_oracles("active mask dropped config 4");
+  est.SetReference(2);
+  EXPECT_FALSE(est.RowsCurrent(strat, scratch));  // reference switch too
+  expect_oracles("reference switched to 2");
+  strat.Split(0, {0, 1, 2});
+  EXPECT_FALSE(est.RowsCurrent(strat, scratch));  // and a split
+  for (int i = 0; i < 10; ++i) add(*pool.Draw(strat, 1, &rng));
+  expect_oracles("split and top-up");
+  active[1] = false;
+  est.SetReference(3);
+  for (int i = 0; i < 15; ++i) add(*pool.DrawGlobal(&rng));
+  expect_oracles("mask, reference and samples changed together");
+  active[1] = true;
+  expect_oracles("config 1 re-activated");
 }
 
 TEST(DeltaEstimatorTest, AveragedTemplateStatsShape) {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -34,10 +35,27 @@ namespace {
 
 // --- artifact fixture ----------------------------------------------------
 
-/// Writes a small `pdx_tool gen`-layout catalog and returns its dir.
+/// The catalog dirs this process generated; removed when it exits.
+struct CatalogDirs {
+  std::vector<std::string> paths;
+  ~CatalogDirs() {
+    for (const std::string& dir : paths) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
+};
+
+/// Writes a small `pdx_tool gen`-layout catalog and returns its dir. The
+/// dir is unique to this process: ctest runs every test as its own
+/// process, in parallel under -j, and a shared path would be removed and
+/// regenerated under another process still reading it.
 std::string GenCatalog(const std::string& name, uint32_t queries,
                        uint32_t num_configs, uint64_t seed) {
-  std::string dir = ::testing::TempDir() + "/" + name;
+  static CatalogDirs generated;
+  std::string dir = ::testing::TempDir() + "/" + name + "_" +
+                    std::to_string(::getpid());
+  generated.paths.push_back(dir);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   Schema schema = MakeTpcdSchema();
