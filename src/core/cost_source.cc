@@ -253,19 +253,23 @@ double MatrixCostSource::TotalCost(ConfigId c) const {
 CachingCostSource::CachingCostSource(CostSource* inner)
     : inner_(inner),
       num_queries_(inner->num_queries()),
-      num_configs_(inner->num_configs()) {
+      num_configs_(inner->num_configs()),
+      rows_(std::make_unique<Row[]>(num_queries_)) {
   PDX_CHECK(inner_ != nullptr);
-  const size_t cells = num_queries_ * num_configs_;
-  if (cells > 0) {
-    filled_ = std::make_unique<std::once_flag[]>(cells);
-    values_ = std::make_unique<double[]>(cells);
-  }
 }
 
-bool CachingCostSource::FillCell(QueryId q, ConfigId c, size_t cell) {
+CachingCostSource::Cell* CachingCostSource::RowOf(QueryId q) {
+  Row& row = rows_[q];
+  std::call_once(row.allocated, [&] {
+    row.cells = std::make_unique<Cell[]>(num_configs_);
+  });
+  return row.cells.get();
+}
+
+bool CachingCostSource::FillCell(QueryId q, ConfigId c, Cell& cell) {
   bool cold = false;
-  std::call_once(filled_[cell], [&] {
-    values_[cell] = inner_->Cost(q, c);
+  std::call_once(cell.filled, [&] {
+    cell.value = inner_->Cost(q, c);
     cold = true;
   });
   return cold;
@@ -274,7 +278,7 @@ bool CachingCostSource::FillCell(QueryId q, ConfigId c, size_t cell) {
 double CachingCostSource::Cost(QueryId q, ConfigId c) {
   PDX_CHECK(q < num_queries_);
   PDX_CHECK(c < num_configs_);
-  const size_t cell = CellOf(q, c);
+  Cell& cell = RowOf(q)[c];
   const uint64_t t0 = obs::TimerStart();
   if (FillCell(q, c, cell)) {
     // Cold latency is recorded by the inner source (the actual what-if
@@ -286,7 +290,7 @@ double CachingCostSource::Cost(QueryId q, ConfigId c) {
     CMetrics().exact_hit->Add();
     obs::TimerStop(t0, CMetrics().exact_hit_ns);
   }
-  return values_[cell];
+  return cell.value;
 }
 
 void CachingCostSource::CostMany(std::span<const QueryId> queries, ConfigId c,
@@ -304,9 +308,9 @@ void CachingCostSource::CostMany(std::span<const QueryId> queries, ConfigId c,
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryId q = queries[i];
     PDX_CHECK(q < num_queries_);
-    const size_t cell = CellOf(q, c);
+    Cell& cell = RowOf(q)[c];
     if (FillCell(q, c, cell)) ++cold;
-    out[i] = values_[cell];
+    out[i] = cell.value;
   }
   const uint64_t n = queries.size();
   const uint64_t hits = n - cold;
@@ -330,12 +334,12 @@ void CachingCostSource::CostAcross(QueryId q, std::span<const ConfigId> configs,
   CacheMetrics& m = CMetrics();
   const uint64_t t0 = obs::TimerStart();
   uint64_t cold = 0;
+  Cell* row = RowOf(q);
   for (size_t i = 0; i < configs.size(); ++i) {
     const ConfigId c = configs[i];
     PDX_CHECK(c < num_configs_);
-    const size_t cell = CellOf(q, c);
-    if (FillCell(q, c, cell)) ++cold;
-    out[i] = values_[cell];
+    if (FillCell(q, c, row[c])) ++cold;
+    out[i] = row[c].value;
   }
   const uint64_t n = configs.size();
   const uint64_t hits = n - cold;

@@ -214,9 +214,10 @@ class MatrixCostSource : public CostSource {
 /// counts only cold misses (the optimizer calls actually made); hits are
 /// reported separately.
 ///
-/// The cache is a dense num_queries x num_configs table stored
-/// config-major (matching MatrixCostSource's columnar layout, so batched
-/// column sweeps touch consecutive cells); each cell is guarded by a
+/// The cache holds one row of num_configs cells per query, allocated
+/// once (std::call_once) on the query's first lookup: a selection samples a few hundred of a workload's queries, so a dense
+/// num_queries x num_configs table (15.6 MB zero-filled per compare on
+/// 13K TPC-D x 100) would be mostly untouched. Each cell is guarded by a
 /// std::once_flag, so concurrent Cost() calls for the same pair still
 /// make exactly one underlying call. Does not own `inner`.
 class CachingCostSource : public CostSource {
@@ -252,18 +253,24 @@ class CachingCostSource : public CostSource {
   uint64_t num_hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
-  /// Config-major cell index of (q, c).
-  size_t CellOf(QueryId q, ConfigId c) const {
-    return static_cast<size_t>(c) * num_queries_ + q;
-  }
+  struct Cell {
+    std::once_flag filled;
+    double value = 0.0;
+  };
+  struct Row {
+    std::once_flag allocated;
+    std::unique_ptr<Cell[]> cells;
+  };
+  /// The cells of query `q`, allocating the row on first use.
+  Cell* RowOf(QueryId q);
   /// Fills `cell` if cold; returns true when this call was the miss.
-  bool FillCell(QueryId q, ConfigId c, size_t cell);
+  bool FillCell(QueryId q, ConfigId c, Cell& cell);
 
   CostSource* inner_;
   size_t num_queries_ = 0;
   size_t num_configs_ = 0;
-  std::unique_ptr<std::once_flag[]> filled_;
-  std::unique_ptr<double[]> values_;
+  /// Per-query rows of num_configs_ cells; empty until first looked up.
+  std::unique_ptr<Row[]> rows_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

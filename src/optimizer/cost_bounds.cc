@@ -33,25 +33,23 @@ CostBoundsDeriver::CostBoundsDeriver(const WhatIfOptimizer& optimizer,
 }
 
 CostInterval CostBoundsDeriver::SelectBounds(const Query& query) const {
-  // The SELECT part alone (explanation splits DML into its two halves).
-  PlanExplanation base_plan, rich_plan;
-  optimizer_.CostExplained(query, base_, &base_plan);
-  optimizer_.CostExplained(query, rich_, &rich_plan);
+  // The SELECT part alone (CostParts splits DML into its two halves).
+  const CostSplit base_parts = optimizer_.CostParts(query, base_);
+  const CostSplit rich_parts = optimizer_.CostParts(query, rich_);
   // The validating constructor normalizes model round-off inversions; the
   // monotonicity property itself is asserted by tests.
-  return CostInterval(rich_plan.select_cost, base_plan.select_cost);
+  return CostInterval(rich_parts.select, base_parts.select);
 }
 
 CostInterval CostBoundsDeriver::UpdateBounds(TemplateId t,
                                              const Configuration& config) const {
   const TemplateExtremes& ex = template_extremes_[t];
   if (!ex.has_dml) return CostInterval(0.0, 0.0);
-  PlanExplanation lo_plan, hi_plan;
-  optimizer_.CostExplained(workload_.query(ex.min_sel_query), config,
-                           &lo_plan);
-  optimizer_.CostExplained(workload_.query(ex.max_sel_query), config,
-                           &hi_plan);
-  return CostInterval(lo_plan.update_cost, hi_plan.update_cost);
+  const CostSplit lo =
+      optimizer_.CostParts(workload_.query(ex.min_sel_query), config);
+  const CostSplit hi =
+      optimizer_.CostParts(workload_.query(ex.max_sel_query), config);
+  return CostInterval(lo.update, hi.update);
 }
 
 std::vector<CostInterval> CostBoundsDeriver::WorkloadBounds(

@@ -59,13 +59,16 @@ uint64_t Index::StorageBytes(const Schema& schema) const {
   return leaf_bytes + leaf_bytes / 50;
 }
 
+bool Index::ContainsColumn(ColumnId column) const {
+  return std::find(key_columns.begin(), key_columns.end(), column) !=
+             key_columns.end() ||
+         std::find(include_columns.begin(), include_columns.end(), column) !=
+             include_columns.end();
+}
+
 bool Index::Covers(const std::vector<ColumnId>& columns) const {
   for (ColumnId c : columns) {
-    bool found = std::find(key_columns.begin(), key_columns.end(), c) !=
-                     key_columns.end() ||
-                 std::find(include_columns.begin(), include_columns.end(),
-                           c) != include_columns.end();
-    if (!found) return false;
+    if (!ContainsColumn(c)) return false;
   }
   return true;
 }

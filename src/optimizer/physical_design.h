@@ -36,6 +36,10 @@ struct Index {
   uint32_t Levels(const Schema& schema) const;
   /// Storage footprint in bytes.
   uint64_t StorageBytes(const Schema& schema) const;
+  /// True if `column` appears in keys or includes. The one column test
+  /// shared by the optimizer and the relevance layer, whose bit-identity
+  /// rests on both applying the same rule.
+  bool ContainsColumn(ColumnId column) const;
   /// True if every column in `columns` appears in keys or includes.
   bool Covers(const std::vector<ColumnId>& columns) const;
   /// Canonical name, e.g. "ix_lineitem(l_shipdate)incl(...)".

@@ -15,13 +15,6 @@ bool Contains(const std::vector<ColumnId>& sorted, ColumnId c) {
   return std::binary_search(sorted.begin(), sorted.end(), c);
 }
 
-bool IndexContainsColumn(const Index& index, ColumnId c) {
-  return std::find(index.key_columns.begin(), index.key_columns.end(), c) !=
-             index.key_columns.end() ||
-         std::find(index.include_columns.begin(), index.include_columns.end(),
-                   c) != index.include_columns.end();
-}
-
 }  // namespace
 
 QueryFootprint ComputeFootprint(const Query& query) {
@@ -98,7 +91,7 @@ bool IndexTouchedByUpdate(const QueryFootprint& footprint,
   }
   if (footprint.update_kind != StatementKind::kUpdate) return true;
   for (ColumnId c : footprint.update_set_columns) {
-    if (IndexContainsColumn(index, c)) return true;
+    if (index.ContainsColumn(c)) return true;
   }
   return false;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <memory>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -67,7 +67,6 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
   best.cost = model_.HeapScanCost(access.table);
   best.output_rows = output_rows;
   best.ordered_cost = -1.0;
-  best.description = "heap_scan(" + table.name + ")";
 
   for (uint32_t idx : config.IndexesOnTable(access.table)) {
     const Index& index = config.indexes()[idx];
@@ -98,8 +97,8 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
 
     if (cost < best.cost) {
       best.cost = cost;
-      best.description =
-          std::string(kind) + "(" + index.Name(model_.schema()) + ")";
+      best.kind = kind;
+      best.index = &index;
     }
     // Order property: the index delivers rows sorted by its key columns;
     // usable when the group-by columns (all on this table) form a prefix
@@ -121,6 +120,15 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
   }
   best.output_rows = output_rows;
   return best;
+}
+
+std::string WhatIfOptimizer::Describe(const AccessPlan& plan,
+                                      const TableAccess& access) const {
+  return std::string(plan.kind) + "(" +
+         (plan.index != nullptr
+              ? plan.index->Name(model_.schema())
+              : model_.schema().table(access.table).name) +
+         ")";
 }
 
 double WhatIfOptimizer::IndexNestedLoopProbeCost(
@@ -229,25 +237,35 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
     current_rows = plan.output_rows;
     ordered_plan_cost = plan.ordered_cost;
     if (explanation != nullptr) {
-      explanation->access_paths.push_back(plan.description);
+      explanation->access_paths.push_back(Describe(plan, spec.accesses[0]));
     }
   } else {
     // Left-deep composition in edge order (generators emit connected
-    // orderings starting from the most selective side).
-    std::unordered_set<uint32_t> joined;
+    // orderings starting from the most selective side). `joined` flags
+    // the accesses already in the prefix: on the stack for any query the
+    // generators emit, on the heap only past kInlineAccesses tables.
+    constexpr size_t kInlineAccesses = 64;
+    bool inline_joined[kInlineAccesses] = {};
+    std::unique_ptr<bool[]> wide_joined;
+    bool* joined = inline_joined;
+    if (spec.accesses.size() > kInlineAccesses) {
+      wide_joined.reset(new bool[spec.accesses.size()]());
+      joined = wide_joined.get();
+    }
     uint32_t first = spec.joins[0].left_access;
     AccessPlan first_plan =
         BestAccessPath(spec.accesses[first], config, spec.group_by);
     join_cost = first_plan.cost;
     current_rows = first_plan.output_rows;
-    joined.insert(first);
+    joined[first] = true;
     if (explanation != nullptr) {
-      explanation->access_paths.push_back(first_plan.description);
+      explanation->access_paths.push_back(
+          Describe(first_plan, spec.accesses[first]));
     }
 
     for (const JoinEdge& edge : spec.joins) {
-      bool left_in = joined.count(edge.left_access) > 0;
-      bool right_in = joined.count(edge.right_access) > 0;
+      bool left_in = joined[edge.left_access];
+      bool right_in = joined[edge.right_access];
       if (left_in && right_in) {
         // Redundant edge within the joined set: a residual filter.
         double ndv = std::max(
@@ -278,7 +296,7 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
 
       // Index nested loop: one seek per outer row.
       double join_op_cost = hash_cost;
-      std::string inner_desc = inner_plan.description + "+hash";
+      bool inlj = false;
       double probe_cost = IndexNestedLoopProbeCost(inner, inner_col, config);
       if (probe_cost >= 0.0) {
         double residual_cpu = model_.constants().cpu_operator *
@@ -286,13 +304,7 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
         double inlj_cost = current_rows * (probe_cost + residual_cpu);
         if (inlj_cost < join_op_cost) {
           join_op_cost = inlj_cost;
-          inner_desc = "inlj(" +
-                       model_.schema().table(inner.table).name + "." +
-                       model_.schema()
-                           .table(inner.table)
-                           .columns[inner_col]
-                           .name +
-                       ")";
+          inlj = true;
         }
       }
       join_cost += join_op_cost;
@@ -300,9 +312,13 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
           current_rows, inner_rows,
           {spec.accesses[outer_id].table, outer_col},
           {inner.table, inner_col});
-      joined.insert(inner_id);
+      joined[inner_id] = true;
       if (explanation != nullptr) {
-        explanation->access_paths.push_back(inner_desc);
+        const Table& table = model_.schema().table(inner.table);
+        explanation->access_paths.push_back(
+            inlj ? "inlj(" + table.name + "." + table.columns[inner_col].name +
+                       ")"
+                 : Describe(inner_plan, inner) + "+hash");
       }
     }
   }
@@ -359,7 +375,7 @@ double WhatIfOptimizer::UpdatePartCost(const Query& query,
     bool touched = u.kind != StatementKind::kUpdate;
     if (!touched) {
       for (ColumnId c : u.set_columns) {
-        if (index.Covers({c})) {
+        if (index.ContainsColumn(c)) {
           touched = true;
           break;
         }
@@ -383,24 +399,35 @@ double WhatIfOptimizer::UpdatePartCost(const Query& query,
   return cost;
 }
 
-double WhatIfOptimizer::CostExplained(const Query& query,
-                                      const Configuration& config,
-                                      PlanExplanation* explanation) const {
+CostSplit WhatIfOptimizer::Evaluate(const Query& query,
+                                    const Configuration& config,
+                                    PlanExplanation* explanation) const {
   calls_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&weighted_calls_, query.optimize_overhead);
 
-  double select_cost = 0.0;
+  CostSplit parts;
   if (!query.select.accesses.empty()) {
-    select_cost = SelectCost(query.select, config, explanation);
+    parts.select = SelectCost(query.select, config, explanation);
   }
-  double update_cost = 0.0;
   if (query.update.has_value()) {
-    update_cost = UpdatePartCost(query, config);
+    parts.update = UpdatePartCost(query, config);
   }
-  double total = select_cost + update_cost;
+  return parts;
+}
+
+CostSplit WhatIfOptimizer::CostParts(const Query& query,
+                                     const Configuration& config) const {
+  return Evaluate(query, config, nullptr);
+}
+
+double WhatIfOptimizer::CostExplained(const Query& query,
+                                      const Configuration& config,
+                                      PlanExplanation* explanation) const {
+  CostSplit parts = Evaluate(query, config, explanation);
+  double total = parts.select + parts.update;
   if (explanation != nullptr) {
-    explanation->select_cost = select_cost;
-    explanation->update_cost = update_cost;
+    explanation->select_cost = parts.select;
+    explanation->update_cost = parts.update;
     explanation->total_cost = total;
   }
   return total;
@@ -408,7 +435,8 @@ double WhatIfOptimizer::CostExplained(const Query& query,
 
 double WhatIfOptimizer::Cost(const Query& query,
                              const Configuration& config) const {
-  return CostExplained(query, config, nullptr);
+  CostSplit parts = Evaluate(query, config, nullptr);
+  return parts.select + parts.update;
 }
 
 double WhatIfOptimizer::TotalCost(const Workload& workload,

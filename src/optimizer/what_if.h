@@ -18,8 +18,13 @@
 // Every Cost() invocation increments an optimizer-call counter — the
 // resource the comparison primitive is designed to conserve.
 //
-// Thread-safety: Cost()/CostExplained()/TotalCost() are safe to call
-// concurrently. The cost model and schema are immutable after
+// Cost()/CostParts() allocate nothing unless a join query meets a
+// configuration with views (view matching builds the query's join
+// shape): plan text is formatted only when a caller passes a
+// PlanExplanation, from the same costing kernel.
+//
+// Thread-safety: Cost()/CostParts()/CostExplained()/TotalCost() are safe
+// to call concurrently. The cost model and schema are immutable after
 // construction; the only state Cost() mutates is the pair of call
 // counters, which are atomics updated with relaxed ordering. Note that
 // weighted_calls() is a floating-point sum accumulated across threads,
@@ -48,6 +53,14 @@ struct PlanExplanation {
   std::vector<std::string> access_paths;
 };
 
+/// The two halves of one statement's cost: the SELECT part (the query
+/// plan) and the UPDATE part (base-table, index and view maintenance).
+/// Their sum is bitwise what Cost() returns.
+struct CostSplit {
+  double select = 0.0;
+  double update = 0.0;
+};
+
 /// Deterministic what-if cost oracle with call accounting.
 class WhatIfOptimizer {
  public:
@@ -60,7 +73,12 @@ class WhatIfOptimizer {
   /// the model is immutable, and the call counters are atomic.
   double Cost(const Query& query, const Configuration& config) const;
 
-  /// As Cost, filling `explanation` (may be nullptr).
+  /// As Cost, split into its SELECT and UPDATE parts (counts one call;
+  /// builds no plan text). The §6.1 bounds read the parts separately.
+  CostSplit CostParts(const Query& query, const Configuration& config) const;
+
+  /// As Cost, filling `explanation` (may be nullptr) with the parts and
+  /// the plan text.
   double CostExplained(const Query& query, const Configuration& config,
                        PlanExplanation* explanation) const;
 
@@ -94,12 +112,18 @@ class WhatIfOptimizer {
     /// `cost` so the caller can minimize (path + aggregation) jointly —
     /// required for SELECT-cost monotonicity under added structures.
     double ordered_cost = -1.0;
-    std::string description;
+    /// The winning path: its kind and, unless a heap scan, its index.
+    /// Turned into text only for a PlanExplanation (Describe).
+    const char* kind = "heap_scan";
+    const Index* index = nullptr;
   };
 
   AccessPlan BestAccessPath(const TableAccess& access,
                             const Configuration& config,
                             const std::vector<ColumnRef>& group_by) const;
+
+  /// Plan text of `plan` for `access`, e.g. "index_seek(ix_orders(o_key))".
+  std::string Describe(const AccessPlan& plan, const TableAccess& access) const;
 
   /// Cost of an index-nested-loop probe side for a join, or a negative
   /// value when no suitable index exists in `config`.
@@ -116,6 +140,11 @@ class WhatIfOptimizer {
                        const Configuration& config) const;
 
   double UpdatePartCost(const Query& query, const Configuration& config) const;
+
+  /// The one costing kernel behind Cost/CostParts/CostExplained: counts
+  /// the call and appends plan text only when `explanation` is non-null.
+  CostSplit Evaluate(const Query& query, const Configuration& config,
+                     PlanExplanation* explanation) const;
 
   CostModel model_;
   mutable std::atomic<uint64_t> calls_{0};

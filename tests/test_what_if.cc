@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/running_stats.h"
 #include "optimizer/candidate_gen.h"
 #include "test_util.h"
@@ -184,6 +190,35 @@ TEST_F(WhatIfTest, PlanExplanationDescribesAccessPaths) {
     saw_heap_path |= path.find("heap_scan") != std::string::npos;
   }
   EXPECT_TRUE(saw_heap_path);
+}
+
+TEST_F(WhatIfTest, JoinWiderThanInlineFlagsIsCosted) {
+  // A 70-way self-join chain outgrows the optimizer's on-stack join flags
+  // (64 accesses): every edge must still join one new access, and the
+  // closing edge 0-69 is a residual filter within the joined set.
+  const ColumnId key = schema_.table(kCustomer).FindColumn("c_custkey");
+  Query q;
+  for (uint32_t a = 0; a < 70; ++a) {
+    TableAccess access;
+    access.table = kCustomer;
+    access.referenced_columns = {key};
+    q.select.accesses.push_back(access);
+    if (a > 0) q.select.joins.push_back({a - 1, a, key, key});
+  }
+  q.select.joins.push_back({0, 69, key, key});
+  Configuration empty("empty");
+  Configuration with_index("ix");
+  Index i;
+  i.table = kCustomer;
+  i.key_columns = {key};
+  with_index.AddIndex(i);
+  for (const Configuration* c : {&empty, &with_index}) {
+    PlanExplanation e;
+    double total = opt_.CostExplained(q, *c, &e);
+    EXPECT_EQ(e.access_paths.size(), 70u);
+    EXPECT_TRUE(std::isfinite(total));
+    EXPECT_EQ(total, opt_.Cost(q, *c));
+  }
 }
 
 TEST_F(WhatIfTest, WeightedCallsTrackOverheads) {
@@ -462,6 +497,97 @@ TEST_F(WhatIfDmlTest, InsertPaysEveryIndexUpdateOnlyTouched) {
   double ins_with = opt_.Cost(insert_q, with_ix);
   EXPECT_GT(ins_with, ins_without)
       << "INSERT must pay maintenance on every index of the table";
+}
+
+// Plan-text golden: CostExplained over a fixed grid of TPC-D and CRM
+// statements (the first of each template: SELECT, INSERT, UPDATE,
+// DELETE) x configurations (empty,
+// half of the candidate indexes, every index, every index plus views).
+// Costs are printed as hex floats, so any last-ulp change shows, and the
+// chosen access paths must keep their exact text. Regenerate with
+// PDX_REGEN_WHATIF_GOLDEN=1 when a cost-model change is intended.
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::vector<Configuration> GoldenConfigs(const Schema& schema,
+                                         const Workload& wl) {
+  QueryCandidates all = CandidateGenerator(schema).ForWorkload(wl);
+  Configuration empty("empty"), partial("partial"), indexes("indexes"),
+      rich("rich");
+  for (size_t i = 0; i < all.indexes.size(); ++i) {
+    if (i % 2 == 0) partial.AddIndex(all.indexes[i]);
+    indexes.AddIndex(all.indexes[i]);
+    rich.AddIndex(all.indexes[i]);
+  }
+  for (const MaterializedView& v : all.views) rich.AddView(v);
+  return {empty, partial, indexes, rich};
+}
+
+void AppendPlanLines(const std::string& label, const Schema& schema,
+                     const Workload& wl, std::string* out) {
+  WhatIfOptimizer opt(schema);
+  for (const Configuration& c : GoldenConfigs(schema, wl)) {
+    for (TemplateId t = 0; t < wl.num_templates(); ++t) {
+      const QueryId q = wl.QueriesOfTemplate(t).front();
+      const Query& query = wl.query(q);
+      PlanExplanation e;
+      const double total = opt.CostExplained(query, c, &e);
+      const CostSplit parts = opt.CostParts(query, c);
+      // One kernel: every entry point agrees to the bit.
+      EXPECT_EQ(Hex(total), Hex(e.total_cost));
+      EXPECT_EQ(Hex(total), Hex(opt.Cost(query, c))) << label << " q" << q;
+      EXPECT_EQ(Hex(total), Hex(parts.select + parts.update));
+      EXPECT_EQ(Hex(parts.select), Hex(e.select_cost));
+      EXPECT_EQ(Hex(parts.update), Hex(e.update_cost));
+      *out += label + " q" + std::to_string(q) + " " +
+              StatementKindName(query.kind) + " " + c.name() +
+              " total=" + Hex(e.total_cost) + " select=" +
+              Hex(e.select_cost) + " update=" + Hex(e.update_cost) +
+              " view=" + (e.used_view ? "1" : "0") + " paths=";
+      for (size_t i = 0; i < e.access_paths.size(); ++i) {
+        *out += (i > 0 ? " " : "") + e.access_paths[i];
+      }
+      *out += "\n";
+    }
+  }
+}
+
+std::string ProducePlanGolden() {
+  std::string out;
+  Schema tpcd = SmallTpcdSchema();
+  AppendPlanLines("tpcd", tpcd, SmallTpcdWorkload(tpcd, 240), &out);
+  Schema crm = SmallCrmSchema();
+  AppendPlanLines("crm", crm, SmallCrmTrace(crm, 500), &out);
+  return out;
+}
+
+TEST(WhatIfGoldenTest, PlanTextAndCostsMatchGolden) {
+  const std::string path = PDX_WHATIF_GOLDEN;
+  const std::string produced = ProducePlanGolden();
+  if (std::getenv("PDX_REGEN_WHATIF_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << produced;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  std::istringstream want(golden.str()), got(produced);
+  std::string w, g;
+  for (int line = 1; std::getline(want, w); ++line) {
+    ASSERT_TRUE(std::getline(got, g)) << "output ends before line " << line;
+    ASSERT_EQ(w, g) << "first difference at line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, g)) << "output has extra lines: " << g;
+
+  // The grid must exercise every plan shape and statement kind it pins.
+  for (const char* token :
+       {"heap_scan(", "index_seek(", "index_range(", "index_scan(", "+hash",
+        "inlj(", "view_scan", " INSERT ", " UPDATE ", " DELETE "}) {
+    EXPECT_NE(produced.find(token), std::string::npos) << token;
+  }
 }
 
 }  // namespace
