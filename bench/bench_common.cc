@@ -16,8 +16,9 @@ namespace pdx::bench {
 int TrialsFromArgs(int argc, char** argv, int default_trials) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      int v = std::atoi(argv[i] + 10);
-      if (v > 0) SetGlobalThreadCount(static_cast<size_t>(v));
+      if (std::optional<size_t> n = ParseThreadCount(argv[i] + 10)) {
+        SetGlobalThreadCount(*n);
+      }
     }
     // The observability tail flags imply timing from the start of the run
     // (FinishBenchObs reads the spans and histograms they fill).

@@ -20,6 +20,7 @@
 //
 // Run without arguments for usage.
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "catalog/tpcd_schema.h"
-#include "common/metrics_server.h"
 #include "common/obs.h"
 #include "common/run_ledger.h"
 #include "common/span.h"
@@ -297,15 +297,14 @@ int Usage() {
       "                   [--metrics[=SPEC]] [--ledger[=DIR]]\n"
       "  pdx_tool report  --trace=PATH [--profile=OUT.json]\n"
       "  pdx_tool runs    list | diff A B   [--runs-dir=DIR]\n"
-      "  pdx_tool serve-metrics [--port=9464] [--max-requests=0]\n"
       "  pdx_tool serve   [--port=9464] [--max-sessions=0] [--workers=4]\n"
       "                   [--deadline-ms=5000] [--max-catalogs=4]\n"
       "                   [--ledger[=DIR]]\n"
       "  pdx_tool show    --dir=DIR\n"
       "  pdx_tool validate [--quick|--full] [--regen-golden] [--csv=PATH]\n"
       "\n"
-      "  --threads=N applies to every command (default: PDX_THREADS or all\n"
-      "  hardware threads). compare memoizes what-if calls per --cache:\n"
+      "  --threads=N (1..256) applies to every command (default: PDX_THREADS\n"
+      "  or all hardware threads). compare memoizes what-if calls per --cache:\n"
       "  'exact' caches (query, configuration) cells (default), 'signature'\n"
       "  additionally shares calls across configurations that agree on the\n"
       "  query's relevant structures, 'off' disables memoization\n"
@@ -326,17 +325,16 @@ int Usage() {
       "  final counters, per-phase span rollup) under DIR (default runs/).\n"
       "  'runs list' enumerates recorded manifests; 'runs diff A B' prints\n"
       "  a regression-attribution table between two of them, ranked by\n"
-      "  wall-clock delta. serve-metrics exposes GET /metrics (Prometheus)\n"
-      "  and /healthz on 127.0.0.1.\n"
+      "  wall-clock delta.\n"
       "\n"
       "  serve runs the selection daemon: concurrent sessions over\n"
       "  newline-delimited JSON on 127.0.0.1 (one connection per session,\n"
       "  ops ping/stats/compare/tune/shutdown, 'dir' names a pdx_tool gen\n"
       "  directory), with the signature what-if cache and Section-6 bounds\n"
       "  held resident across sessions, per-connection read deadlines, and\n"
-      "  /metrics scrapes answered on the same port. Selections are\n"
-      "  byte-identical to the batch CLI at equal seeds. --ledger[=DIR]\n"
-      "  appends one manifest per compare/tune session.\n"
+      "  GET /metrics (Prometheus) and /healthz answered on the same port.\n"
+      "  Selections are byte-identical to the batch CLI at equal seeds.\n"
+      "  --ledger[=DIR] appends one manifest per compare/tune session.\n"
       "\n"
       "  --budget=dynamic reallocates the what-if budget each selection\n"
       "  round (DESIGN.md Section 10): the run may spend cheap Section-6\n"
@@ -1073,30 +1071,6 @@ int RunRuns(int argc, char** argv) {
   return 1;
 }
 
-// pdx_tool serve-metrics: expose the process registry over HTTP. Mostly
-// useful composed with library embedders; standalone it demonstrates the
-// exporter and gives CI a curl target.
-int RunServeMetrics(int argc, char** argv) {
-  uint64_t port, max_requests;
-  if (!U64Flag(argc, argv, "port", 9464, &port) ||
-      !U64Flag(argc, argv, "max-requests", 0, &max_requests)) {
-    return 1;
-  }
-  if (port > 65535) {
-    std::printf("error: --port expects 0..65535\n");
-    return 1;
-  }
-  obs::MetricsServerOptions mopt;
-  mopt.port = static_cast<int>(port);
-  mopt.max_requests = max_requests;
-  Status st = obs::ServeMetrics(mopt);
-  if (!st.ok()) {
-    std::printf("error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
-
 // pdx_tool serve: the selection-as-a-service daemon (DESIGN.md §12).
 // Long-lived loopback server for concurrent selection/tuning sessions
 // over newline-delimited JSON, with the what-if and bounds caches held
@@ -1119,6 +1093,13 @@ int RunServe(int argc, char** argv) {
   }
   if (workers == 0 || workers > 256) {
     std::printf("error: --workers expects 1..256\n");
+    return 1;
+  }
+  // A deadline of 0 or one that wraps negative as an int would silently
+  // turn off the per-connection deadline that keeps a stalled client from
+  // wedging the daemon.
+  if (deadline_ms == 0 || deadline_ms > INT_MAX) {
+    std::printf("error: --deadline-ms expects 1..%d\n", INT_MAX);
     return 1;
   }
   service::ServeOptions sopt;
@@ -1169,15 +1150,14 @@ int RunShow(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string threads = FlagValue(argc, argv, "threads", "");
-  if (!threads.empty()) {
-    long n = std::atol(threads.c_str());
-    if (n <= 0) {
-      std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n",
-                   threads.c_str());
+  if (FlagPresent(argc, argv, "threads")) {
+    std::optional<size_t> n =
+        ParseThreadCount(FlagValue(argc, argv, "threads", ""));
+    if (!n) {
+      std::printf("error: --threads expects 1..%zu\n", kMaxThreadCount);
       return 1;
     }
-    SetGlobalThreadCount(static_cast<size_t>(n));
+    SetGlobalThreadCount(*n);
   }
   std::string command = argv[1];
   if (command == "gen") return RunGen(argc, argv);
@@ -1185,7 +1165,6 @@ int main(int argc, char** argv) {
   if (command == "tune") return RunTune(argc, argv);
   if (command == "report") return RunReport(argc, argv);
   if (command == "runs") return RunRuns(argc, argv);
-  if (command == "serve-metrics") return RunServeMetrics(argc, argv);
   if (command == "serve") return RunServe(argc, argv);
   if (command == "show") return RunShow(argc, argv);
   if (command == "validate") return RunValidate(argc, argv);

@@ -1,12 +1,10 @@
 #include "common/metrics_server.h"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/obs.h"
@@ -23,10 +21,6 @@ std::string HttpMessage(int code, const char* reason,
              "%zu\r\nConnection: close\r\n\r\n",
              code, reason, content_type, body.size()) +
          body;
-}
-
-Status SocketError(const char* what) {
-  return Status::IOError(StringFormat("%s: %s", what, std::strerror(errno)));
 }
 
 }  // namespace
@@ -83,7 +77,6 @@ bool SendAll(int fd, const std::string& data) {
 }
 
 std::string MetricsHttpResponse(const std::string& request_head) {
-  Registry::Global().GetCounter("pdx_exporter_requests_total")->Add();
   size_t eol = request_head.find('\n');
   std::string line = request_head.substr(
       0, eol == std::string::npos ? request_head.size() : eol);
@@ -109,74 +102,6 @@ std::string MetricsHttpResponse(const std::string& request_head) {
     return HttpMessage(200, "OK", "text/plain", "ok\n");
   }
   return HttpMessage(404, "Not Found", "text/plain", "not found\n");
-}
-
-Status ServeMetrics(const MetricsServerOptions& options, int* bound_port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return SocketError("socket");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status st = SocketError("bind");
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, 16) != 0) {
-    Status st = SocketError("listen");
-    ::close(fd);
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    Status st = SocketError("getsockname");
-    ::close(fd);
-    return st;
-  }
-  const int port = ntohs(addr.sin_port);
-  if (bound_port != nullptr) *bound_port = port;
-  std::printf("serving metrics on http://127.0.0.1:%d/metrics\n", port);
-  std::fflush(stdout);
-  for (uint64_t served = 0;
-       options.max_requests == 0 || served < options.max_requests;
-       ++served) {
-    int conn = ::accept(fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) {
-        --served;
-        continue;
-      }
-      Status st = SocketError("accept");
-      ::close(fd);
-      return st;
-    }
-    // Read the request head (through the blank line) under the
-    // per-connection deadline; this server never consumes a body. A
-    // stalled client gets 408 and the loop moves on — it cannot block
-    // the next scraper (the accept loop is sequential).
-    std::string head;
-    const ReadOutcome outcome = ReadUntilDelimiter(
-        conn, "\r\n\r\n", 8192, options.read_deadline_ms, &head);
-    std::string resp;
-    if (outcome == ReadOutcome::kDeadline) {
-      Registry::Global()
-          .GetCounter("pdx_exporter_deadline_drops_total")
-          ->Add();
-      resp = HttpMessage(408, "Request Timeout", "text/plain",
-                         "request head deadline exceeded\n");
-    } else {
-      resp = MetricsHttpResponse(head);
-    }
-    SendAll(conn, resp);
-    ::shutdown(conn, SHUT_WR);
-    ::close(conn);
-  }
-  ::close(fd);
-  return Status::OK();
 }
 
 }  // namespace pdx::obs

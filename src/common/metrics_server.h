@@ -1,35 +1,14 @@
 // Copyright (c) the pdexplore authors.
-// Minimal single-threaded HTTP exporter for the metric registry
-// (ISSUE 8): `pdx_tool serve-metrics --port=N` serves GET /metrics
-// (Prometheus text exposition, straight from obs::Registry) and GET
-// /healthz. This is deliberately tiny — one blocking accept loop, no
-// keep-alive, no TLS, no threads — the first resident-process slice of
-// the ROADMAP's selection-as-a-service daemon, not a web framework.
-// The socket helpers (deadline-bounded head reads, EINTR-safe writes)
-// are shared with the full service daemon in src/service/server.
+// HTTP and socket helpers of the selection daemon (src/service/server):
+// the response to a Prometheus scrape (GET /metrics, straight from
+// obs::Registry) or a health probe (GET /healthz), deadline-bounded
+// reads, and EINTR-safe writes. The daemon sniffs HTTP on its own port.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
-#include "common/status.h"
-
 namespace pdx::obs {
-
-struct MetricsServerOptions {
-  /// TCP port to bind on 127.0.0.1. 0 picks an ephemeral port (the
-  /// chosen one is printed and reported via *bound_port).
-  int port = 9464;
-  /// Exit cleanly after this many requests; 0 serves forever. The CI
-  /// smoke and tests use this to get a deterministic shutdown.
-  uint64_t max_requests = 0;
-  /// Per-connection budget for reading the request head, in
-  /// milliseconds. A client that connects and then stalls is dropped
-  /// (408) once this elapses, so it can never wedge the sequential
-  /// accept loop for the next scraper. 0 means wait forever (the old
-  /// behaviour; only tests should want it).
-  int read_deadline_ms = 2000;
-};
 
 /// Outcome of ReadUntilDelimiter: why the read loop stopped.
 enum class ReadOutcome {
@@ -44,8 +23,7 @@ enum class ReadOutcome {
 /// EOF, `max_bytes`, or `deadline_ms` elapses (0 = no deadline).
 /// Retries EINTR on both poll() and read(). The accumulated bytes —
 /// including anything after the delimiter — are appended to *out.
-/// Shared by the metrics exporter (delimiter "\r\n\r\n") and the
-/// service daemon's line protocol (delimiter "\n").
+/// The service daemon's line protocol reads with delimiter "\n".
 ReadOutcome ReadUntilDelimiter(int fd, const char* delimiter,
                                size_t max_bytes, int deadline_ms,
                                std::string* out);
@@ -57,17 +35,9 @@ bool SendAll(int fd, const std::string& data);
 
 /// The full HTTP response for one request head (everything up to the
 /// blank line). Pure function of the request and the registry — the
-/// socket loop and the tests share it. Query strings and fragments are
-/// stripped before dispatch (`GET /metrics?x=y` serves /metrics). Bumps
-/// pdx_exporter_requests_total.
+/// daemon and the tests share it; the daemon counts the scrape itself.
+/// Query strings and fragments are stripped before dispatch
+/// (`GET /metrics?x=y` serves /metrics).
 std::string MetricsHttpResponse(const std::string& request_head);
-
-/// Binds 127.0.0.1:<port>, prints "serving metrics on
-/// http://127.0.0.1:PORT/metrics", and serves requests one at a time
-/// until max_requests is reached (never returns when max_requests is 0,
-/// short of a socket error). `bound_port`, when non-null, receives the
-/// actual port before the first accept.
-Status ServeMetrics(const MetricsServerOptions& options,
-                    int* bound_port = nullptr);
 
 }  // namespace pdx::obs

@@ -236,8 +236,6 @@ std::string MetricHelp(const std::string& name) {
           {"pdx_tuner_structures_added_total",
            "Structures accepted by the greedy tuner"},
           {"pdx_tuner_round_ns", "Per-round greedy tuner latency"},
-          {"pdx_exporter_requests_total",
-           "HTTP requests served by pdx_tool serve-metrics"},
       };
   auto it = kHelp->find(name);
   if (it != kHelp->end()) return it->second;

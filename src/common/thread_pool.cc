@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 
@@ -56,8 +57,7 @@ struct GlobalPoolState {
   size_t ResolveSize() const {
     if (configured > 0) return configured;
     if (const char* env = std::getenv("PDX_THREADS")) {
-      long v = std::atol(env);
-      if (v > 0) return static_cast<size_t>(v);
+      if (std::optional<size_t> n = ParseThreadCount(env)) return *n;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<size_t>(hw) : 1;
@@ -70,6 +70,16 @@ GlobalPoolState& GlobalState() {
 }
 
 }  // namespace
+
+std::optional<size_t> ParseThreadCount(std::string_view text) {
+  size_t n = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1 || n > kMaxThreadCount) {
+    return std::nullopt;
+  }
+  return n;
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   PDX_CHECK(num_threads >= 1);

@@ -18,6 +18,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -95,9 +97,20 @@ class ThreadPool {
   std::mutex submit_mu_;
 };
 
+/// Largest thread count a tool accepts from --threads or PDX_THREADS (the
+/// same bound as serve's --workers).
+inline constexpr size_t kMaxThreadCount = 256;
+
+/// Strictly parses a thread count: the whole of `text` must be a decimal
+/// integer in 1..kMaxThreadCount ("12abc", "0", "-1" and overflow are
+/// rejected). Pure — it builds no pool — so callers can validate a value
+/// before anything is sized by it.
+std::optional<size_t> ParseThreadCount(std::string_view text);
+
 /// The process-wide pool the library's parallel paths use. Sized, in
 /// order of precedence, by the last SetGlobalThreadCount() call, the
-/// PDX_THREADS environment variable, and std::thread::hardware_concurrency.
+/// PDX_THREADS environment variable (ignored unless ParseThreadCount
+/// accepts it), and std::thread::hardware_concurrency.
 ThreadPool& GlobalThreadPool();
 
 /// Re-sizes the global pool (0 = hardware concurrency). Must not be

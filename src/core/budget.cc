@@ -79,21 +79,6 @@ const char* BudgetPolicyName(BudgetPolicy policy) {
   return "unknown";
 }
 
-BudgetCostModel BudgetCostModel::FromRegistry() {
-  BudgetCostModel model;
-  obs::Registry& r = obs::Registry::Global();
-  obs::Histogram* cold = r.GetHistogram(kWhatIfColdNsMetric);
-  if (cold->Count() > 0) {
-    double ms = cold->MeanNs() * 1e-6;
-    if (ms > 0.0) {
-      model.whatif_ms = ms;
-      // Bound derivation hits the same optimizer service as a cold call.
-      model.bound_call_ms = ms;
-    }
-  }
-  return model;
-}
-
 BudgetManager::BudgetManager(size_t num_configs, size_t num_queries,
                              CellBoundsProvider* bounds,
                              const BudgetCostModel& model, TraceSink* trace)

@@ -34,10 +34,8 @@
 //
 // Determinism: every scheduling decision is a pure function of the run's
 // sample stream and the provider's (deterministic) intervals. The cost
-// model uses fixed constants by default; BudgetCostModel::FromRegistry()
-// reads the measured latency histograms but is meant for calibrating the
-// constants BETWEEN runs — feeding live wall-clock into decisions would
-// make selections racy.
+// model is fixed constants, never live wall-clock: feeding measured
+// latencies into decisions would make selections racy.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +78,6 @@ struct BudgetCostModel {
   /// One interval-dominance envelope comparison.
   double dominance_check_ms = 1e-4;
 
-  /// Calibrates the constants from the live pdx_whatif_* latency
-  /// histograms (PR 3), falling back to the defaults for empty
-  /// histograms. Call between runs, never mid-run (see header comment).
-  static BudgetCostModel FromRegistry();
-
   /// Preset for a LOCAL bounds provider (e.g. StaleCostBoundsProvider):
   /// BoundsFor is a memory lookup with no optimizer behind it, so a
   /// bound refinement prices like a dominance check, not like a call.
@@ -95,8 +88,8 @@ struct BudgetCostModel {
   }
 };
 
-/// Counters of one run's budget decisions (surfaced on SelectionResult /
-/// FixedBudgetResult and in the pdx_tool report economics table).
+/// Counters of one run's budget decisions (surfaced on SelectionResult
+/// and in the pdx_tool report economics table).
 struct BudgetStats {
   /// Real optimizer calls spent on bound refinements, measured as the
   /// provider's derivation_calls() delta over this run — a shared warm

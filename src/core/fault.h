@@ -180,8 +180,8 @@ struct RetryPolicy {
 
 /// How the selection loop executes what-if calls.
 struct ExecutionPolicy {
-  /// Off by default: Selector/FixedBudget call the source directly and
-  /// are byte-identical to a build without this layer.
+  /// Off by default: the selector calls the source directly and is
+  /// byte-identical to a build without this layer.
   bool enabled = false;
   RetryPolicy retry;
   /// When a cell exhausts its retries, substitute the §6 cost-bound

@@ -3,34 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <numeric>
 
 #include "common/normal.h"
 
 namespace pdx {
 
 namespace {
-
-// Builds a BudgetManager when the options ask for dynamic reallocation in
-// an allocation policy that supports it (variance-guided / fine); null
-// otherwise, which keeps the static paths byte-identical.
-std::unique_ptr<BudgetManager> MaybeBudget(const FixedBudgetOptions& options,
-                                           size_t k,
-                                           const std::vector<uint64_t>& pops) {
-  if (options.budget_policy != BudgetPolicy::kDynamic || k < 2) return nullptr;
-  if (options.allocation != AllocationPolicy::kVarianceGuided &&
-      options.allocation != AllocationPolicy::kFinePerTemplate) {
-    return nullptr;
-  }
-  PDX_CHECK_MSG(options.bounds != nullptr,
-                "BudgetPolicy::kDynamic requires FixedBudgetOptions::bounds");
-  const uint64_t N = std::accumulate(pops.begin(), pops.end(), uint64_t{0});
-  // Fixed-budget runs emit no trace events by contract; the budget
-  // counters surface on FixedBudgetResult instead.
-  return std::make_unique<BudgetManager>(k, N, options.bounds,
-                                         options.budget_model, nullptr);
-}
 
 // Splits the single-stratum stratification into one stratum per template.
 void MakeFineStrata(Stratification* strat) {
@@ -48,15 +26,10 @@ void MakeFineStrata(Stratification* strat) {
   }
 }
 
-// Lowest estimate among still-active configurations: a dominance-
-// eliminated configuration is proven non-best by its envelope even when
-// its (partial-sample) estimate happens to undercut the winner's.
-ConfigId ArgMin(const std::vector<double>& estimates,
-                const std::vector<bool>& active) {
+ConfigId ArgMin(const std::vector<double>& estimates) {
   ConfigId best = 0;
   double best_est = std::numeric_limits<double>::infinity();
   for (ConfigId c = 0; c < estimates.size(); ++c) {
-    if (!active[c]) continue;
     if (estimates[c] < best_est) {
       best_est = estimates[c];
       best = c;
@@ -79,54 +52,27 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
   }
   StratifiedSamplePool pool(*source, rng);
   DeltaEstimator est(k, T, pops);
-  std::vector<bool> active(k, true);
+  // Every configuration is priced to the end (no elimination); the
+  // estimator API still takes an active mask.
+  const std::vector<bool> all_active(k, true);
   std::vector<double> overheads =
       options.overhead_aware ? PerTemplateOverheads(*source, pops)
                              : std::vector<double>();
 
   // Hot-loop buffers, allocated once per run (the estimator no-allocation
-  // rule). Under the static policy every sweep covers all k configurations
-  // in ascending order — the scalar visit order; the dynamic policy prices
-  // only the still-active ones (dominated configurations need no calls).
-  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
+  // rule). Every sweep covers all k configurations in ascending order —
+  // the scalar visit order.
   EstimatorScratch scratch;
   std::vector<double> estimates_buf(k, 0.0);
   std::vector<double> diffs_buf(k, 0.0);
   std::vector<double> vars_buf(k, 0.0);
   std::vector<double> costs_buf(k, 0.0);
-  std::vector<double> batch_vals(k, 0.0);
-  std::vector<double> uncert_vals(k, 0.0);
-  std::vector<double> pair_prcs_zero(k, 0.0);
   std::vector<ConfigId> all_ids(k);
-  std::vector<ConfigId> batch_ids;
-  batch_ids.reserve(k);
   for (ConfigId c = 0; c < k; ++c) all_ids[c] = c;
 
   auto evaluate = [&](QueryId q) {
-    if (!budget) {
-      source->CostAcross(q, all_ids, costs_buf);
-      est.Add(q, source->TemplateOf(q), costs_buf);
-      return;
-    }
-    batch_ids.clear();
-    for (ConfigId c = 0; c < k; ++c) {
-      if (active[c]) batch_ids.push_back(c);
-    }
-    std::fill(costs_buf.begin(), costs_buf.end(),
-              std::numeric_limits<double>::quiet_NaN());
-    std::span<double> vals(batch_vals.data(), batch_ids.size());
-    source->CostAcross(q, batch_ids, vals);
-    for (size_t i = 0; i < batch_ids.size(); ++i) {
-      costs_buf[batch_ids[i]] = vals[i];
-    }
-    // Degraded cells (a fault-tolerant source) must enter the envelope as
-    // interval mass, never as exact costs.
-    std::span<double> uncerts(uncert_vals.data(), batch_ids.size());
-    source->CostUncertaintyAcross(q, batch_ids, uncerts);
+    source->CostAcross(q, all_ids, costs_buf);
     est.Add(q, source->TemplateOf(q), costs_buf);
-    for (size_t i = 0; i < batch_ids.size(); ++i) {
-      budget->ObserveSample(q, batch_ids[i], vals[i], uncerts[i]);
-    }
   };
 
   uint64_t drawn = 0;
@@ -185,29 +131,10 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
         ++drawn;
       }
       // Variance-guided allocation, with progressive splits when enabled.
-      uint64_t iteration = 0;
       while (drawn < query_budget && pool.RemainingTotal() > 0) {
-        ++iteration;
-        ConfigId best = 0;
-        double best_est = std::numeric_limits<double>::infinity();
         est.Estimates(strat, &scratch, estimates_buf);
-        for (ConfigId c = 0; c < k; ++c) {
-          if (estimates_buf[c] < best_est) {
-            best_est = estimates_buf[c];
-            best = c;
-          }
-        }
+        const ConfigId best = ArgMin(estimates_buf);
         est.SetReference(best);
-
-        // Dynamic budget reallocation: fixed-budget mode has no Pr(CS)
-        // machinery, so the VOI gain is priced with the conservative
-        // zero-confidence pair weights; a dominated configuration stops
-        // being priced and its budget share flows to the live pairs.
-        if (budget) {
-          std::vector<ConfigId> dominated = budget->DecideRound(
-              iteration, best, active, pair_prcs_zero, 0.0);
-          for (ConfigId j : dominated) active[j] = false;
-        }
 
         if (!fine && options.stratify) {
           // Target variance: what would make the weakest pair confident at
@@ -224,9 +151,9 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
           }
           if (std::isfinite(target_se) && target_se > 0.0) {
             SplitDecision dec = FindBestSplit(
-                strat, est.AveragedDiffTemplateStats(active),
+                strat, est.AveragedDiffTemplateStats(all_active),
                 target_se * target_se, options.n_min,
-                options.min_template_observations);
+                kMinTemplateObservations);
             if (dec.beneficial) {
               uint32_t old_stratum = dec.stratum;
               strat.Split(old_stratum, dec.part1);
@@ -253,7 +180,8 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
         double best_score = -1.0;
         for (uint32_t h = 0; h < strat.num_strata(); ++h) {
           if (pool.RemainingInStratum(strat, h) == 0) continue;
-          double red = est.VarianceReductionFromRows(scratch, strat, h, active);
+          double red =
+              est.VarianceReductionFromRows(scratch, strat, h, all_active);
           if (options.overhead_aware) {
             red /= StratumMeanOverhead(strat, h, overheads, pops);
           }
@@ -271,16 +199,9 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
   FixedBudgetResult out;
   out.estimates.resize(k);
   est.Estimates(strat, &scratch, out.estimates);
-  out.best = ArgMin(out.estimates, active);
+  out.best = ArgMin(out.estimates);
   out.queries_sampled = est.TotalSamples();
   out.optimizer_calls = source->num_calls() - calls_before;
-  if (budget) {
-    const BudgetStats& bs = budget->stats();
-    out.optimizer_calls += bs.bound_refinement_calls;
-    out.bound_refinement_calls = bs.bound_refinement_calls;
-    out.dominance_eliminations = bs.dominance_eliminations;
-    out.refined_queries = bs.refined_queries;
-  }
   return out;
 }
 
@@ -304,20 +225,13 @@ FixedBudgetResult RunIndependentFixed(CostSource* source,
     }
   }
   IndependentEstimator est(k, T, pops);
-  std::vector<bool> active(k, true);
-  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
-  std::vector<double> pair_prcs_zero(k, 0.0);
   uint64_t drawn = 0;
 
   auto draw_for = [&](ConfigId c, uint32_t h) {
     std::optional<QueryId> q = pools[c].Draw(strat[c], h, rng);
     if (!q) q = pools[c].DrawGlobal(rng);
     if (!q) return false;
-    double cost = source->Cost(*q, c);
-    est.Add(c, source->TemplateOf(*q), cost);
-    if (budget) {
-      budget->ObserveSample(*q, c, cost, source->CostUncertainty(*q, c));
-    }
+    est.Add(c, source->TemplateOf(*q), source->Cost(*q, c));
     ++drawn;
     return true;
   };
@@ -368,43 +282,19 @@ FixedBudgetResult RunIndependentFixed(CostSource* source,
           for (ConfigId c = 0; c < k && drawn < query_budget; ++c) {
             std::optional<QueryId> q = pools[c].DrawGlobal(rng);
             if (!q) continue;
-            double cost = source->Cost(*q, c);
-            est.Add(c, source->TemplateOf(*q), cost);
-            if (budget) {
-              budget->ObserveSample(*q, c, cost,
-                                    source->CostUncertainty(*q, c));
-            }
+            est.Add(c, source->TemplateOf(*q), source->Cost(*q, c));
             ++drawn;
           }
         }
       }
       uint64_t stale_guard = 0;
-      uint64_t iteration = 0;
       while (drawn < query_budget) {
-        ++iteration;
-        // Dynamic budget reallocation; see the Delta path.
-        if (budget) {
-          ConfigId inc = 0;
-          double inc_est = std::numeric_limits<double>::infinity();
-          for (ConfigId c = 0; c < k; ++c) {
-            if (!active[c]) continue;
-            double e = est.Estimate(c, strat[c]);
-            if (e < inc_est) {
-              inc_est = e;
-              inc = c;
-            }
-          }
-          std::vector<ConfigId> dominated = budget->DecideRound(
-              iteration, inc, active, pair_prcs_zero, 0.0);
-          for (ConfigId j : dominated) active[j] = false;
-        }
         // Progressive split for the configuration with the highest
         // variance (cheap surrogate for "last sampled" in budget mode).
         if (!fine && options.stratify) {
           ConfigId target = 0;
           double worst = -1.0;
           for (ConfigId c = 0; c < k; ++c) {
-            if (!active[c]) continue;  // all true under the static policy
             double v = est.Variance(c, strat[c]);
             if (v > worst) {
               worst = v;
@@ -416,7 +306,7 @@ FixedBudgetResult RunIndependentFixed(CostSource* source,
           double target_var = var / (z * z * 4.0);
           SplitDecision dec = FindBestSplit(
               strat[target], est.TemplateStatsFor(target), target_var,
-              options.n_min, options.min_template_observations);
+              options.n_min, kMinTemplateObservations);
           if (dec.beneficial) {
             uint32_t old_stratum = dec.stratum;
             strat[target].Split(old_stratum, dec.part1);
@@ -436,7 +326,6 @@ FixedBudgetResult RunIndependentFixed(CostSource* source,
         uint32_t chosen_h = 0;
         double best_score = -1.0;
         for (ConfigId c = 0; c < k; ++c) {
-          if (!active[c]) continue;  // all true under the static policy
           for (uint32_t h = 0; h < strat[c].num_strata(); ++h) {
             if (pools[c].RemainingInStratum(strat[c], h) == 0) continue;
             double red = est.VarianceReductionForNext(c, strat[c], h);
@@ -463,18 +352,11 @@ FixedBudgetResult RunIndependentFixed(CostSource* source,
   for (ConfigId c = 0; c < k; ++c) {
     out.estimates[c] = est.Estimate(c, strat[c]);
   }
-  out.best = ArgMin(out.estimates, active);
+  out.best = ArgMin(out.estimates);
   uint64_t total = 0;
   for (ConfigId c = 0; c < k; ++c) total += est.TotalSamples(c);
   out.queries_sampled = total;
   out.optimizer_calls = source->num_calls() - calls_before;
-  if (budget) {
-    const BudgetStats& bs = budget->stats();
-    out.optimizer_calls += bs.bound_refinement_calls;
-    out.bound_refinement_calls = bs.bound_refinement_calls;
-    out.dominance_eliminations = bs.dominance_eliminations;
-    out.refined_queries = bs.refined_queries;
-  }
   return out;
 }
 
@@ -485,23 +367,6 @@ FixedBudgetResult FixedBudgetSelect(CostSource* source, uint64_t query_budget,
                                     Rng* rng) {
   PDX_CHECK(source != nullptr && rng != nullptr);
   PDX_CHECK(query_budget >= 1);
-  if (options.exec.enabled) {
-    // Interpose the retry/degrade layer and recurse with it disabled. The
-    // wrapper forwards num_calls, so the inner run's optimizer accounting
-    // is unchanged; degraded cells feed bound midpoints into the
-    // estimates.
-    FaultTolerantCostSource executor(source, options.exec, options.bounds,
-                                     options.trace);
-    FixedBudgetOptions inner = options;
-    inner.exec.enabled = false;
-    FixedBudgetResult out =
-        FixedBudgetSelect(&executor, query_budget, inner, rng);
-    out.degraded_cells = executor.num_degraded_cells();
-    out.whatif_retries = executor.num_retries();
-    out.whatif_timeouts = executor.num_timeouts();
-    out.whatif_failures = executor.num_failures();
-    return out;
-  }
   if (options.scheme == SamplingScheme::kDelta) {
     return RunDeltaFixed(source, query_budget, options, rng);
   }

@@ -3,7 +3,9 @@
 // each sampling scheme "for a given sample size and output the selected
 // configuration"; the §7.2 comparisons give the alternative allocation
 // methods "identical numbers of samples". These helpers run one selection
-// at a fixed sampling budget without a stopping rule.
+// at a fixed sampling budget without a stopping rule, elimination, dynamic
+// budget or fault layer — the paper's baselines have none. They stay a
+// loop of their own rather than a selector stop rule (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -37,27 +39,10 @@ struct FixedBudgetOptions {
   /// Progressive stratification (only meaningful for kVarianceGuided).
   bool stratify = true;
   uint32_t n_min = 30;
-  uint32_t min_template_observations = 3;
   /// Weight the variance-guided stratum choice by per-template optimizer
   /// overhead (§5.2's non-constant optimization times). Only meaningful
   /// for kVarianceGuided / kFinePerTemplate.
   bool overhead_aware = false;
-  /// Fault-tolerant execution (see SelectorOptions::exec): when enabled the
-  /// run interposes a FaultTolerantCostSource over `source` with these
-  /// retry/deadline/degradation settings.
-  ExecutionPolicy exec;
-  /// §6 bounds provider for degradation (not owned; may be null).
-  CellBoundsProvider* bounds = nullptr;
-  /// Sink for whatif_error events of the execution layer (not owned; may
-  /// be null). Fixed-budget runs emit no other trace events.
-  TraceSink* trace = nullptr;
-  /// Dynamic budget reallocation (core/budget.h). Engages only in the
-  /// variance-guided and fine-stratification allocations (the uniform /
-  /// equal-allocation baselines stay pure): dominated configurations stop
-  /// being priced and their share of the remaining query budget is
-  /// reinvested in the live pairs. Requires `bounds` when kDynamic.
-  BudgetPolicy budget_policy = BudgetPolicy::kStatic;
-  BudgetCostModel budget_model;
 };
 
 /// Outcome of a fixed-budget comparison.
@@ -68,16 +53,6 @@ struct FixedBudgetResult {
   /// Queries sampled (Delta: distinct queries; Independent: total draws).
   uint64_t queries_sampled = 0;
   uint64_t optimizer_calls = 0;
-  /// Execution-layer totals (all 0 when options.exec was disabled).
-  uint64_t degraded_cells = 0;
-  uint64_t whatif_retries = 0;
-  uint64_t whatif_timeouts = 0;
-  uint64_t whatif_failures = 0;
-  /// Budget-reallocation economics (all 0 under kStatic); refinement
-  /// calls are already folded into optimizer_calls.
-  uint64_t bound_refinement_calls = 0;
-  uint64_t dominance_eliminations = 0;
-  uint64_t refined_queries = 0;
 };
 
 /// Runs one comparison spending at most `query_budget` sampled queries

@@ -20,6 +20,11 @@ namespace {
 // comparisons meaningful during the ambiguous phase.
 constexpr double kGapFloorSeFraction = 0.25;
 
+// Elimination waits until the templates still unobserved hold at most
+// this share of the workload population: an unobserved template can hide
+// a configuration's entire advantage (DESIGN.md §5, finding 2).
+constexpr double kEliminationCoverageSlack = 0.02;
+
 // Interned metric handles; one registry lookup per process.
 struct SelectorMetrics {
   obs::Counter* runs;
@@ -92,7 +97,6 @@ ConfigurationSelector::ConfigurationSelector(CostSource* source,
   PDX_CHECK(options_.delta >= 0.0);
   PDX_CHECK(options_.n_min >= 2);
   PDX_CHECK(options_.consecutive_to_stop >= 1);
-  PDX_CHECK(options_.stratification_period >= 1);
 }
 
 double ConfigurationSelector::RequiredZ(size_t active_pairs) const {
@@ -453,8 +457,7 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     // best. The gate allows a small unobserved population share so rare
     // trace templates don't force coupon-collection over the workload.
     if (elim_threshold < 1.0 &&
-        est.UnobservedPopulationShare() <=
-            options_.elimination_coverage_slack) {
+        est.UnobservedPopulationShare() <= kEliminationCoverageSlack) {
       size_t p_idx = 0;
       for (ConfigId j = 0; j < k; ++j) {
         if (j == best) continue;
@@ -508,9 +511,9 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     }
 
     // Progressive stratification (Algorithm 2).
-    if (options_.stratify && iteration % options_.stratification_period == 0) {
-      // Fires every stratification_period rounds and usually declines to
-      // split, so it is decimated by call index like the round phases.
+    if (options_.stratify) {
+      // Fires every round and usually declines to split, so it is
+      // decimated by call index like the round phases.
       thread_local uint64_t stratify_calls = 0;
       obs::SpanScope stratify_span(
           obs::TimingEnabled() && obs::SampledSpanRound(stratify_calls++),
@@ -529,7 +532,7 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
         const uint64_t split_t0 = obs::TimerStart();
         SplitDecision dec =
             FindBestSplit(strat, tstats, target_se * target_se,
-                          options_.n_min, options_.min_template_observations);
+                          options_.n_min, kMinTemplateObservations);
         obs::TimerStop(split_t0, Metrics().split_search_ns);
         if (dec.beneficial) {
           uint32_t old_stratum = dec.stratum;
@@ -869,10 +872,8 @@ SelectionResult ConfigurationSelector::RunIndependent(Rng* rng) {
         // Coverage gate as in the Delta path, applied to both sides of
         // the pair.
         if (active[j] && p > elim_threshold &&
-            est.UnobservedPopulationShare(j) <=
-                options_.elimination_coverage_slack &&
-            est.UnobservedPopulationShare(best) <=
-                options_.elimination_coverage_slack) {
+            est.UnobservedPopulationShare(j) <= kEliminationCoverageSlack &&
+            est.UnobservedPopulationShare(best) <= kEliminationCoverageSlack) {
           active[j] = false;
           frozen_prcs[j] = p;
           eliminated_at[j] = static_cast<uint32_t>(iteration);
@@ -921,8 +922,7 @@ SelectionResult ConfigurationSelector::RunIndependent(Rng* rng) {
 
     // Progressive stratification: only the configuration that received the
     // previous sample can have changed (paper §5.1).
-    if (options_.stratify && active[last_sampled] &&
-        iteration % options_.stratification_period == 0) {
+    if (options_.stratify && active[last_sampled]) {
       thread_local uint64_t stratify_calls = 0;  // as in RunDelta
       obs::SpanScope stratify_span(
           obs::TimingEnabled() && obs::SampledSpanRound(stratify_calls++),
@@ -948,7 +948,7 @@ SelectionResult ConfigurationSelector::RunIndependent(Rng* rng) {
         const uint64_t split_t0 = obs::TimerStart();
         SplitDecision dec =
             FindBestSplit(strat[c], tstats, target_var, options_.n_min,
-                          options_.min_template_observations);
+                          kMinTemplateObservations);
         obs::TimerStop(split_t0, Metrics().split_search_ns);
         if (dec.beneficial) {
           uint32_t old_stratum = dec.stratum;

@@ -40,9 +40,6 @@ struct SelectorOptions {
   uint32_t n_min = 30;
   /// Enable progressive stratification (Algorithm 2).
   bool stratify = true;
-  /// Minimum observations per template before its average cost is trusted
-  /// in split scoring.
-  uint32_t min_template_observations = 3;
   /// Require Pr(CS) > alpha for this many consecutive samples before
   /// stopping ("guard against oscillation of the Pr(CS)-estimates"; the
   /// §7.2 experiments use 10).
@@ -52,21 +49,12 @@ struct SelectorOptions {
   /// disable elimination. The effective threshold is auto-scaled with k so
   /// frozen pairs cannot exhaust the Bonferroni miss budget.
   double elimination_threshold = 0.995;
-  /// Elimination is deferred until the templates still unobserved hold at
-  /// most this fraction of the workload: an unobserved template can hide a
-  /// configuration's entire (sparse) advantage, and eliminating on such a
-  /// sample freezes out the true best.
-  double elimination_coverage_slack = 0.02;
   /// Hard cap on sampled queries (0 = no cap; the workload size always
   /// caps naturally).
   uint64_t max_samples = 0;
   /// Weight §5.2's variance-reduction sample choice by per-template
   /// optimizer-call overhead.
   bool overhead_aware = false;
-  /// Check for a beneficial split only every this many samples (1 =
-  /// paper-faithful; larger values trade fidelity for speed in large
-  /// Monte-Carlo sweeps).
-  uint32_t stratification_period = 1;
   /// Observer of the run's per-round events (not owned; may be shared
   /// across runs). Null disables tracing at the cost of one pointer test
   /// per event site. Tracing never perturbs the run: the sink triggers no

@@ -104,6 +104,12 @@ struct SplitDecision {
   uint64_t est_total_samples = 0;
 };
 
+/// Observations a template needs before its average cost is trusted in
+/// split scoring (below it the mean is a one- or two-draw guess and a
+/// split on it chases noise). Shared by the selector and the fixed-budget
+/// harnesses.
+inline constexpr uint32_t kMinTemplateObservations = 3;
+
 /// Algorithm 2: evaluates all single-stratum splits at template-cost
 /// boundaries and returns the one minimizing estimated #Samples, or
 /// beneficial=false. A stratum is only considered when (a) its expected

@@ -8,12 +8,11 @@
 // bounded queue. A session is one connection: the client sends request
 // lines, the worker answers each with one response line, EOF ends the
 // session. The first line is sniffed — an HTTP method ("GET ...") gets
-// the metrics exporter's response (so `curl :PORT/metrics` works on the
-// service port); anything else is protocol JSON. Every connection runs
-// under a read deadline and a request-size bound, so a stalled or
-// hostile client occupies at most one worker for at most the deadline —
-// it can never wedge the daemon (the regression the old serve-metrics
-// loop had).
+// obs::MetricsHttpResponse (so `curl :PORT/metrics` and `:PORT/healthz`
+// work on the service port); anything else is protocol JSON. Every
+// connection runs under a read deadline and a request-size bound, so a
+// stalled or hostile client occupies at most one worker for at most the
+// deadline — it can never wedge the daemon.
 //
 // Sessions run per-session Selector/GreedyTuner state machines over the
 // process-wide WarmStateRegistry: the shared SignatureCachingCostSource

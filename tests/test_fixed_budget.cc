@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "test_util.h"
 
 namespace pdx {
@@ -158,6 +165,90 @@ TEST_P(BudgetSweep, ExactBudgetConsumedWhenAvailable) {
 
 INSTANTIATE_TEST_SUITE_P(Budgets, BudgetSweep,
                          ::testing::Values(10, 50, 200, 1000));
+
+// Fixed-budget golden: every (scheme x allocation x stratify x
+// overhead_aware) combination at three budgets — below the pilot, inside
+// the variance-guided phase, and past the workload size — on one
+// fixed-seed matrix whose per-template optimizer overheads differ, so the
+// overhead-aware choice has something to weigh. Estimates are printed as
+// hex floats, so any last-ulp change shows. Regenerate with
+// PDX_REGEN_FIXED_BUDGET_GOLDEN=1 when a behaviour change is intended.
+class OverheadMatrix : public MatrixCostSource {
+ public:
+  explicit OverheadMatrix(MatrixCostSource m) : MatrixCostSource(std::move(m)) {}
+  double OptimizeOverhead(QueryId q) const override {
+    return 1.0 + 2.0 * static_cast<double>(TemplateOf(q));
+  }
+};
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string ProduceFixedBudgetGolden() {
+  OverheadMatrix src(SyntheticMatrix(600, 4, 6, 0.04, 71));
+  const std::pair<SamplingScheme, const char*> schemes[] = {
+      {SamplingScheme::kDelta, "delta"},
+      {SamplingScheme::kIndependent, "indep"}};
+  const std::pair<AllocationPolicy, const char*> allocations[] = {
+      {AllocationPolicy::kVarianceGuided, "variance"},
+      {AllocationPolicy::kUniform, "uniform"},
+      {AllocationPolicy::kEqualPerTemplate, "equal"},
+      {AllocationPolicy::kFinePerTemplate, "fine"}};
+  std::string out;
+  for (const auto& [scheme, scheme_name] : schemes) {
+    for (const auto& [allocation, allocation_name] : allocations) {
+      for (bool stratify : {false, true}) {
+        for (bool overhead_aware : {false, true}) {
+          for (uint64_t budget : {8u, 240u, 5000u}) {
+            FixedBudgetOptions opt;
+            opt.scheme = scheme;
+            opt.allocation = allocation;
+            opt.stratify = stratify;
+            opt.overhead_aware = overhead_aware;
+            opt.n_min = 10;
+            src.ResetCallCounter();
+            Rng rng(1000 + budget);
+            FixedBudgetResult r = FixedBudgetSelect(&src, budget, opt, &rng);
+            out += std::string(scheme_name) + " " + allocation_name +
+                   " stratify=" + (stratify ? "1" : "0") +
+                   " overhead=" + (overhead_aware ? "1" : "0") +
+                   " budget=" + std::to_string(budget) +
+                   " best=" + std::to_string(r.best) +
+                   " sampled=" + std::to_string(r.queries_sampled) +
+                   " calls=" + std::to_string(r.optimizer_calls) + " est=";
+            for (size_t c = 0; c < r.estimates.size(); ++c) {
+              out += (c > 0 ? "," : "") + Hex(r.estimates[c]);
+            }
+            out += "\n";
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FixedBudgetGoldenTest, EveryOptionCombinationMatchesGolden) {
+  const std::string path = PDX_FIXED_BUDGET_GOLDEN;
+  const std::string produced = ProduceFixedBudgetGolden();
+  if (std::getenv("PDX_REGEN_FIXED_BUDGET_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << produced;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  std::istringstream want(golden.str()), got(produced);
+  std::string w, g;
+  for (int line = 1; std::getline(want, w); ++line) {
+    ASSERT_TRUE(std::getline(got, g)) << "output ends before line " << line;
+    ASSERT_EQ(w, g) << "first difference at line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, g)) << "output has extra lines: " << g;
+}
 
 }  // namespace
 }  // namespace pdx

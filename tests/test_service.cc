@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/tpcd_schema.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "core/cost_source.h"
 #include "core/selector.h"
@@ -537,9 +538,14 @@ TEST(ServeSelectionTest, ConcurrentSessionsHttpScrapeAndCleanDrain) {
         [&, i] { got[i] = RunSession(opt.port, compare_req); });
   }
   for (auto& t : clients) t.join();
-  // A /metrics scrape on the service port (query string and all).
+  // A /metrics scrape on the service port (query string and all). The
+  // daemon counts it once; the response itself touches no counter.
+  obs::Counter* http_requests = obs::Registry::Global().GetCounter(
+      "pdx_serve_http_requests_total");
+  const uint64_t http_before = http_requests->Value();
   std::string scrape = RunSession(
       opt.port, "GET /metrics?x=y HTTP/1.1\r\nHost: h\r\n\r\n");
+  const uint64_t http_after = http_requests->Value();
   // A multi-request session spends the last slot; the server then
   // drains and returns on its own (max_sessions).
   std::string multi = RunSession(
@@ -558,19 +564,21 @@ TEST(ServeSelectionTest, ConcurrentSessionsHttpScrapeAndCleanDrain) {
   }
   EXPECT_EQ(scrape.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   EXPECT_NE(scrape.find("pdx_serve_sessions_total"), std::string::npos);
+  EXPECT_EQ(http_after, http_before + 1);
   EXPECT_NE(multi.find("\"op\":\"ping\",\"id\":\"p\""), std::string::npos);
   EXPECT_NE(multi.find("\"sessions\":"), std::string::npos);
   ASSERT_NE(service, nullptr);
   EXPECT_EQ(service->registry().loads(), 1u);  // one cold load for all
 }
 
-// ISSUE-9 acceptance: a stalled (silent) client provably cannot delay a
-// healthy session beyond the configured deadline — even with a single
-// worker, the deadline frees it.
+// A stalled (silent) client provably cannot delay a healthy session
+// beyond the configured deadline — even with a single worker, the
+// deadline frees it — and a /metrics scraper behind it is answered while
+// the stalled client still holds its connection.
 TEST(ServeSelectionTest, StalledClientCannotDelayHealthySessions) {
   ServeOptions opt;
   opt.port = ReserveLoopbackPort();
-  opt.max_sessions = 2;
+  opt.max_sessions = 3;
   opt.num_workers = 1;
   opt.read_deadline_ms = 200;
   Status served = Status::OK();
@@ -589,11 +597,14 @@ TEST(ServeSelectionTest, StalledClientCannotDelayHealthySessions) {
   std::string resp = RunSession(opt.port, "{\"op\":\"ping\"}\n");
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
+  std::string scrape =
+      RunSession(opt.port, "GET /metrics HTTP/1.1\r\nHost: h\r\n\r\n");
   server.join();
   close(stalled);
 
   ASSERT_TRUE(served.ok()) << served.message();
   EXPECT_EQ(resp.rfind("{\"ok\":true,\"op\":\"ping\"", 0), 0u) << resp;
+  EXPECT_EQ(scrape.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << scrape;
   // Bounded by the stalled session's deadline + generous CI slack — not
   // by the stalled client's patience.
   EXPECT_LT(elapsed.count(), 5000);

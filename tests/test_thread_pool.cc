@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace pdx {
@@ -128,6 +132,36 @@ TEST(ThreadPoolTest, GlobalPoolRespectsSetThreadCount) {
   // 0 = hardware concurrency (or PDX_THREADS); at least one thread.
   SetGlobalThreadCount(0);
   EXPECT_GE(GlobalThreadCount(), 1u);
+}
+
+TEST(ParseThreadCountTest, AcceptsOnlyWholeIntegersInRange) {
+  EXPECT_EQ(ParseThreadCount("1"), 1u);
+  EXPECT_EQ(ParseThreadCount("8"), 8u);
+  EXPECT_EQ(ParseThreadCount("256"), kMaxThreadCount);
+  for (const char* bad :
+       {"", "0", "257", "100000", "12abc", "abc", "-1", "+4", " 4", "4 ",
+        "4294967297", "18446744073709551616"}) {
+    EXPECT_FALSE(ParseThreadCount(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+// An out-of-range PDX_THREADS is ignored like a non-positive one: the
+// configured size falls back to the hardware count. GlobalThreadCount
+// only resolves the size; no pool is built here.
+TEST(ParseThreadCountTest, OutOfRangeEnvironmentValueIsIgnored) {
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const char* prior = std::getenv("PDX_THREADS");
+  const std::string saved = prior != nullptr ? prior : "";
+  SetGlobalThreadCount(0);
+  for (const char* bad : {"100000", "12abc", "0"}) {
+    ASSERT_EQ(setenv("PDX_THREADS", bad, 1), 0);
+    EXPECT_EQ(GlobalThreadCount(), hw) << bad;
+  }
+  if (prior != nullptr) {
+    ASSERT_EQ(setenv("PDX_THREADS", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("PDX_THREADS"), 0);
+  }
 }
 
 TEST(AtomicAddDoubleTest, AccumulatesAcrossThreads) {
