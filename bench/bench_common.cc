@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
@@ -12,6 +13,14 @@
 #include "common/thread_pool.h"
 
 namespace pdx::bench {
+
+std::optional<int> ParsePositiveInt(std::string_view text) {
+  int n = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1) return std::nullopt;
+  return n;
+}
 
 int TrialsFromArgs(int argc, char** argv, int default_trials) {
   for (int i = 1; i < argc; ++i) {
@@ -31,14 +40,11 @@ int TrialsFromArgs(int argc, char** argv, int default_trials) {
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      int v = std::atoi(argv[i] + 9);
-      if (v > 0) return v;
+      if (std::optional<int> v = ParsePositiveInt(argv[i] + 9)) return *v;
     }
   }
-  const char* env = std::getenv("PDX_TRIALS");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
+  if (const char* env = std::getenv("PDX_TRIALS")) {
+    if (std::optional<int> v = ParsePositiveInt(env)) return *v;
   }
   return default_trials;
 }

@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/crm_schema.h"
@@ -26,10 +28,16 @@
 
 namespace pdx::bench {
 
+/// Parses the whole of `text` as a decimal count in [1, INT_MAX]; nullopt
+/// for anything else ("12abc", "0", "-3", "", out of range).
+std::optional<int> ParsePositiveInt(std::string_view text);
+
 /// Parses --trials=N from argv, falling back to PDX_TRIALS, then to
 /// `default_trials`. Also applies --threads=N (falling back to
 /// PDX_THREADS / hardware concurrency) to the global thread pool, so
-/// every bench picks up both flags through its existing call.
+/// every bench picks up both flags through its existing call. Like a bad
+/// --threads, a --trials or PDX_TRIALS that ParsePositiveInt rejects is
+/// ignored.
 int TrialsFromArgs(int argc, char** argv, int default_trials);
 
 /// Parses --cache=off|exact|signature from argv (falling back to

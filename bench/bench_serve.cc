@@ -49,8 +49,9 @@ uint64_t SessionSeed(int session) {
   return kSeedBase + static_cast<uint64_t>(session % kDistinctSeeds);
 }
 
-/// --sessions=N, falling back to 400 (or 200 under --quick). Always a
-/// multiple of kWaves so the quartile waves are equal-sized.
+/// --sessions=N, falling back to 400 (or 200 under --quick); a value
+/// ParsePositiveInt rejects is ignored. Always a multiple of kWaves so the
+/// quartile waves are equal-sized.
 int SessionsFromArgs(int argc, char** argv) {
   int sessions = 400;
   for (int i = 1; i < argc; ++i) {
@@ -58,7 +59,7 @@ int SessionsFromArgs(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--sessions=", 11) == 0) {
-      sessions = std::atoi(argv[i] + 11);
+      if (std::optional<int> v = ParsePositiveInt(argv[i] + 11)) sessions = *v;
     }
   }
   PDX_CHECK_MSG(sessions >= kWaves, "--sessions expects at least 4");

@@ -137,10 +137,12 @@ void BudgetManager::UpdateInfoModel(const std::vector<CostInterval>& chunk) {
     return;
   }
   // §6.2 conservative per-query variance (rho scaled to the chunk's width
-  // so the DP stays at <= 16 steps per interval) and skew upper bound.
+  // so the DP stays at <= 16 steps per interval) and certified skew upper
+  // bound. Only the bound feeds the slack, so the vertex-search estimate
+  // (MaxSkewBound) is never run here.
   VarianceBoundResult vb = MaxVarianceBound(sample, width_max / 16.0);
   sigma2_max_ = vb.upper;
-  g1_upper_ = MaxSkewBound(sample).g1_upper;
+  g1_upper_ = MaxSkewUpperBound(sample);
 }
 
 bool BudgetManager::ProjectedDominated(ConfigId best, ConfigId j) const {

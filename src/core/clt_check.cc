@@ -1,6 +1,7 @@
 #include "core/clt_check.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/macros.h"
 #include "core/pr_cs.h"
@@ -10,6 +11,9 @@ namespace pdx {
 uint64_t CochranRequiredSampleSize(double g1) {
   PDX_CHECK(g1 >= 0.0);
   double n = 28.0 + 25.0 * g1 * g1;
+  // Saturate where the cast would overflow (g1 >~ 8.6e8, or +inf): both
+  // callers clamp the result to the population size anyway.
+  if (!(n < 0x1p64)) return std::numeric_limits<uint64_t>::max();
   return static_cast<uint64_t>(std::floor(n)) + 1;  // strict inequality
 }
 

@@ -18,7 +18,8 @@
 namespace pdx {
 
 /// Modified Cochran rule (paper eq. 9, after [Sugden et al. 2000]):
-/// minimum sample size n > 28 + 25 * G1^2.
+/// minimum sample size n > 28 + 25 * G1^2. Saturates at UINT64_MAX where
+/// that size does not fit (huge or infinite G1).
 uint64_t CochranRequiredSampleSize(double g1);
 
 /// Full §6 validation bundle for one cost distribution.

@@ -1,7 +1,9 @@
 #include "core/skew_bound.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/macros.h"
@@ -58,7 +60,9 @@ class SkewState {
     long double dn = static_cast<long double>(n);
     long double mu = s1 / dn;
     long double m2 = s2 / dn - mu * mu;
-    if (m2 <= 0.0L) return 0.0;
+    // Below the power sums' rounding floor m2 is cancellation residue, not
+    // spread: a zero-variance vertex would otherwise score G1 ~ 1e10.
+    if (m2 <= 64.0L * LDBL_EPSILON * (s2 / dn)) return 0.0;
     long double m3 = s3 / dn - 3.0L * mu * s2 / dn + 2.0L * mu * mu * mu;
     return static_cast<double>(m3 / std::pow(m2, 1.5L));
   }
@@ -211,31 +215,20 @@ double VertexSearchMaxSkew(const std::vector<CostInterval>& bounds) {
   return best;
 }
 
+// Degenerate inputs abort rather than silently skewing either bound: an
+// inverted or NaN interval cannot have passed the validating CostInterval
+// constructor, so it signals a corrupted caller. (NaN fails the <=
+// comparison, so one check covers both.)
+void CheckBounds(const std::vector<CostInterval>& bounds) {
+  PDX_CHECK(!bounds.empty());
+  for (const CostInterval& b : bounds) PDX_CHECK(b.low <= b.high);
+}
+
 }  // namespace
 
-SkewBoundResult MaxSkewBound(const std::vector<CostInterval>& bounds) {
-  PDX_CHECK(!bounds.empty());
-  // Degenerate inputs abort rather than silently skewing the vertex
-  // search: an inverted or NaN interval cannot have passed the validating
-  // CostInterval constructor, so it signals a corrupted caller. (NaN fails
-  // the <= comparison, so one check covers both.)
-  for (const CostInterval& b : bounds) PDX_CHECK(b.low <= b.high);
+double MaxSkewUpperBound(const std::vector<CostInterval>& bounds) {
+  CheckBounds(bounds);
   const size_t n = bounds.size();
-  SkewBoundResult out;
-
-  // --- (a) vertex-search estimate of max |G1| ------------------------------
-  // Cochran's rule consumes the skew magnitude, so both tails matter: the
-  // mirrored problem (v -> -v flips every interval and negates G1) covers
-  // left-skew maxima.
-  double positive = VertexSearchMaxSkew(bounds);
-  std::vector<CostInterval> mirrored(bounds.size());
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    mirrored[i] = {-bounds[i].high, -bounds[i].low};
-  }
-  double negative = VertexSearchMaxSkew(mirrored);
-  out.g1_estimate = std::max({positive, negative, 0.0});
-
-  // --- (b) certified upper bound -------------------------------------------
   // Universal bound for any n-point distribution.
   double universal =
       n >= 2 ? (static_cast<double>(n) - 2.0) /
@@ -265,10 +258,27 @@ SkewBoundResult MaxSkewBound(const std::vector<CostInterval>& bounds) {
   double ratio_bound = sigma2_min > 0.0
                            ? m3_bound / std::pow(sigma2_min, 1.5)
                            : std::numeric_limits<double>::infinity();
+  return std::min(universal, ratio_bound);
+}
 
-  out.g1_upper = std::min(universal, ratio_bound);
-  // The certified bound can never undercut a realized assignment.
-  out.g1_upper = std::max(out.g1_upper, out.g1_estimate);
+SkewBoundResult MaxSkewBound(const std::vector<CostInterval>& bounds) {
+  CheckBounds(bounds);
+  SkewBoundResult out;
+  // Cochran's rule consumes the skew magnitude, so both tails matter: the
+  // mirrored problem (v -> -v flips every interval and negates G1) covers
+  // left-skew maxima.
+  double positive = VertexSearchMaxSkew(bounds);
+  std::vector<CostInterval> mirrored(bounds.size());
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    mirrored[i] = {-bounds[i].high, -bounds[i].low};
+  }
+  double negative = VertexSearchMaxSkew(mirrored);
+  out.g1_estimate = std::max({positive, negative, 0.0});
+  // The certified bound can never undercut a realized assignment: at the
+  // universal bound the estimate's long-double G1 can round slightly above
+  // the double-precision bound (~1e-10 relative), and the max keeps the
+  // contract exact.
+  out.g1_upper = std::max(MaxSkewUpperBound(bounds), out.g1_estimate);
   return out;
 }
 

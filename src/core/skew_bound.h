@@ -11,6 +11,8 @@
 //   (b) a certified conservative upper bound combining the exact
 //       polynomial-time minimum variance with a third-moment majorant and
 //       the universal bound |G1| <= (n-2)/sqrt(n-1).
+// (b) alone is MaxSkewUpperBound — O(n) plus MinVariance, what the dynamic
+// budget's slack needs; MaxSkewBound runs the (far costlier) search too.
 #pragma once
 
 #include <vector>
@@ -29,7 +31,13 @@ struct SkewBoundResult {
 };
 
 /// Maximizes Fisher's G1 over value vectors confined to `bounds`.
+/// `g1_upper` is max(MaxSkewUpperBound(bounds), g1_estimate), so it never
+/// undercuts the estimate.
 SkewBoundResult MaxSkewBound(const std::vector<CostInterval>& bounds);
+
+/// The certified half of MaxSkewBound alone: min of the universal bound
+/// and the third-moment majorant over MinVariance. No vertex search.
+double MaxSkewUpperBound(const std::vector<CostInterval>& bounds);
 
 /// Exact maximum G1 by exhaustive vertex enumeration — O(2^n), for tests.
 double MaxSkewBruteForce(const std::vector<CostInterval>& bounds);

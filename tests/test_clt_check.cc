@@ -1,5 +1,7 @@
 #include "core/clt_check.h"
 
+#include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -17,6 +19,13 @@ TEST(CochranTest, GrowsQuadratically) {
   EXPECT_EQ(CochranRequiredSampleSize(1.0), 54u);   // 28 + 25 + 1
   EXPECT_EQ(CochranRequiredSampleSize(2.0), 129u);  // 28 + 100 + 1
   EXPECT_GT(CochranRequiredSampleSize(10.0), 2500u);
+}
+
+TEST(CochranTest, SaturatesWhereTheSizeOverflows) {
+  // 28 + 25 * g1^2 passes 2^64 near g1 = 8.6e8; the cast would be UB.
+  EXPECT_EQ(CochranRequiredSampleSize(1e10), UINT64_MAX);
+  EXPECT_EQ(CochranRequiredSampleSize(HUGE_VAL), UINT64_MAX);
+  EXPECT_LT(CochranRequiredSampleSize(8e8), UINT64_MAX);
 }
 
 TEST(ValidateCltTest, BundleConsistency) {
