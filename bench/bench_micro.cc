@@ -299,9 +299,14 @@ void PrintWhatIfDedupReport() {
 /// against a no-op sink (every event materialized and dispatched, then
 /// discarded). The ISSUE acceptance asks the no-op-sink overhead to stay
 /// <= 2% of end-to-end selection; null-sink should be indistinguishable.
+/// One sweep is ~40 ms and a few percent noisy, so each mode is timed
+/// over several passes, alternating which runs first, and the overhead is
+/// taken between the two modes' fastest sweeps: noise only adds time,
+/// while a real regression slows every enabled sweep.
 void PrintTraceOverheadReport() {
   MicroFixture& f = Fixture();
   constexpr int kRuns = 300;
+  constexpr int kPasses = 10;
 
   auto sweep = [&](TraceSink* sink) {
     double checksum = 0.0;
@@ -318,23 +323,31 @@ void PrintTraceOverheadReport() {
 
   NoopTraceSink noop;
   sweep(nullptr);  // warm-up: fault in the matrix and code paths
-  obs::Stopwatch t0;
-  const double base_sum = sweep(nullptr);
-  const double base_secs = SecondsSince(t0);
-  t0 = obs::Stopwatch();
-  const double noop_sum = sweep(&noop);
-  const double noop_secs = SecondsSince(t0);
-  PDX_CHECK_MSG(base_sum == noop_sum,
-                "no-op-sink selector runs are not bit-identical to untraced");
-
+  double base_secs = std::numeric_limits<double>::infinity();
+  double noop_secs = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < kPasses; ++pass) {
+    double base_sum = 0.0;
+    double noop_sum = 0.0;
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool traced = (leg + pass) % 2 == 1;
+      obs::Stopwatch t0;
+      (traced ? noop_sum : base_sum) = sweep(traced ? &noop : nullptr);
+      double& best = traced ? noop_secs : base_secs;
+      best = std::min(best, SecondsSince(t0));
+    }
+    PDX_CHECK_MSG(base_sum == noop_sum,
+                  "no-op-sink selector runs are not bit-identical to "
+                  "untraced");
+  }
   const double overhead =
       base_secs > 0.0 ? 100.0 * (noop_secs - base_secs) / base_secs : 0.0;
   std::printf(
-      "\n--- trace overhead report (%d selector runs) ---\n"
+      "\n--- trace overhead report (%d selector runs, fastest of %d "
+      "passes) ---\n"
       "null sink (disabled): %.3fs\n"
       "no-op sink (enabled): %.3fs\n"
       "enabled-path overhead: %+.2f%% (acceptance: <= 2%%)\n",
-      kRuns, base_secs, noop_secs, overhead);
+      kRuns, kPasses, base_secs, noop_secs, overhead);
 }
 
 /// Result of the span-overhead A/B measurement.

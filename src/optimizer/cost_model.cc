@@ -18,10 +18,10 @@ double CostModel::ScanPagesCost(double pages, double rows) const {
 
 double CostModel::IndexSeekCost(const Index& index, double matching_rows,
                                 bool covering) const {
-  double levels = static_cast<double>(index.Levels(schema_));
-  double leaf_entries_per_page =
-      std::max(1.0, static_cast<double>(Schema::kPageSizeBytes) /
-                        index.EntryBytes(schema_));
+  const IndexGeometry g = index.Geometry(schema_);
+  double levels = static_cast<double>(g.levels);
+  double leaf_entries_per_page = std::max(
+      1.0, static_cast<double>(Schema::kPageSizeBytes) / g.entry_bytes);
   double leaf_pages_touched =
       std::max(1.0, matching_rows / leaf_entries_per_page);
   double cost = constants_.random_page * levels +
@@ -42,9 +42,9 @@ double CostModel::IndexRangeScanCost(const Index& index, double leaf_fraction,
                                      double matching_rows,
                                      bool covering) const {
   leaf_fraction = std::clamp(leaf_fraction, 0.0, 1.0);
-  double levels = static_cast<double>(index.Levels(schema_));
-  double leaf_pages =
-      static_cast<double>(index.LeafPages(schema_)) * leaf_fraction;
+  const IndexGeometry g = index.Geometry(schema_);
+  double levels = static_cast<double>(g.levels);
+  double leaf_pages = static_cast<double>(g.leaf_pages) * leaf_fraction;
   double cost = constants_.random_page * levels +
                 constants_.seq_page * std::max(1.0, leaf_pages) +
                 constants_.cpu_tuple * matching_rows;

@@ -21,41 +21,32 @@ uint64_t HashColumnRef(const ColumnRef& r) {
 }
 }  // namespace
 
-uint32_t Index::EntryBytes(const Schema& schema) const {
+IndexGeometry Index::Geometry(const Schema& schema) const {
   const Table& t = schema.table(table);
-  uint32_t bytes = kIndexEntryOverhead;
-  for (ColumnId c : key_columns) bytes += t.columns[c].width_bytes;
-  for (ColumnId c : include_columns) bytes += t.columns[c].width_bytes;
-  return bytes;
-}
-
-uint64_t Index::LeafPages(const Schema& schema) const {
-  const Table& t = schema.table(table);
-  uint64_t per_page = Schema::kPageSizeBytes / std::max(1u, EntryBytes(schema));
-  if (per_page == 0) per_page = 1;
-  return (t.row_count + per_page - 1) / per_page;
-}
-
-uint32_t Index::Levels(const Schema& schema) const {
-  // Internal fan-out: key bytes + child pointer.
-  const Table& t = schema.table(table);
+  IndexGeometry g;
   uint32_t key_bytes = kIndexEntryOverhead;
   for (ColumnId c : key_columns) key_bytes += t.columns[c].width_bytes;
+  g.entry_bytes = key_bytes;
+  for (ColumnId c : include_columns) g.entry_bytes += t.columns[c].width_bytes;
+  uint64_t per_page = Schema::kPageSizeBytes / std::max(1u, g.entry_bytes);
+  if (per_page == 0) per_page = 1;
+  g.leaf_pages = (t.row_count + per_page - 1) / per_page;
+  // Internal fan-out: key bytes + child pointer.
   double fanout =
       std::max(2.0, static_cast<double>(Schema::kPageSizeBytes) / key_bytes);
-  double leaves = static_cast<double>(LeafPages(schema));
-  uint32_t levels = 1;
+  double leaves = static_cast<double>(g.leaf_pages);
+  g.levels = 1;
   while (leaves > 1.0) {
     leaves /= fanout;
-    ++levels;
+    ++g.levels;
   }
-  return levels;
+  return g;
 }
 
 uint64_t Index::StorageBytes(const Schema& schema) const {
   // Leaves plus ~1/fanout of internal pages; the latter is negligible, we
   // charge 2% like common sizing formulas.
-  uint64_t leaf_bytes = LeafPages(schema) * Schema::kPageSizeBytes;
+  uint64_t leaf_bytes = Geometry(schema).leaf_pages * Schema::kPageSizeBytes;
   return leaf_bytes + leaf_bytes / 50;
 }
 

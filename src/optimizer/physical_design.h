@@ -14,6 +14,17 @@
 
 namespace pdx {
 
+/// Size and shape of an index's B-tree, derived from its columns' widths
+/// and the table's row count.
+struct IndexGeometry {
+  /// Bytes per leaf entry (keys + includes + entry overhead).
+  uint32_t entry_bytes = 0;
+  /// Total leaf pages.
+  uint64_t leaf_pages = 0;
+  /// B-tree height (levels above the leaf level), >= 1.
+  uint32_t levels = 0;
+};
+
 /// A B-tree index: ordered key columns plus non-key included columns.
 struct Index {
   TableId table = kInvalidTableId;
@@ -28,12 +39,8 @@ struct Index {
            include_columns == o.include_columns;
   }
 
-  /// Bytes per leaf entry (keys + includes + entry overhead).
-  uint32_t EntryBytes(const Schema& schema) const;
-  /// Total leaf pages.
-  uint64_t LeafPages(const Schema& schema) const;
-  /// B-tree height (levels above the leaf level), >= 1.
-  uint32_t Levels(const Schema& schema) const;
+  /// B-tree geometry, computed in one pass over the columns.
+  IndexGeometry Geometry(const Schema& schema) const;
   /// Storage footprint in bytes.
   uint64_t StorageBytes(const Schema& schema) const;
   /// True if `column` appears in keys or includes. The one column test

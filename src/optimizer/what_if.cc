@@ -89,7 +89,8 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
       // No sargable prefix, but the index is narrower than the heap:
       // covering leaf-level scan.
       cost = model_.ScanPagesCost(
-          static_cast<double>(index.LeafPages(model_.schema())), table_rows);
+          static_cast<double>(index.Geometry(model_.schema()).leaf_pages),
+          table_rows);
       kind = "index_scan";
     } else {
       continue;
@@ -382,7 +383,8 @@ double WhatIfOptimizer::UpdatePartCost(const Query& query,
       }
     }
     if (!touched) continue;
-    double leaf_pages = static_cast<double>(index.LeafPages(model_.schema()));
+    double leaf_pages =
+        static_cast<double>(index.Geometry(model_.schema()).leaf_pages);
     cost += k.maintenance_tuple * affected +
             k.random_page * std::min(affected, leaf_pages);
   }

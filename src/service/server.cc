@@ -243,8 +243,10 @@ std::string SelectionService::ExecuteTune(const ServiceRequest& req) {
   std::iota(ids.begin(), ids.end(), 0);
   TunerOptions topt;
   topt.use_comparison_primitive = true;
-  // Signature caching: bit-identical to every other tier (the batch
-  // CLI's default is exact cells), maximal cross-candidate sharing.
+  // Signature caching for the per-round selections: bit-identical to
+  // every other tier (the batch CLI's default is exact cells), maximal
+  // cross-candidate sharing. Scoring reads no tier; it re-costs only the
+  // queries each candidate can touch.
   topt.cache = WhatIfCacheMode::kSignature;
   topt.max_structures = static_cast<uint32_t>(req.max_structures);
   topt.storage_budget_bytes = req.budget_mb * 1000000;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <unordered_set>
 
 #include "common/obs.h"
 #include "common/span.h"
+#include "optimizer/relevance.h"
 
 namespace pdx {
 
@@ -63,6 +66,136 @@ class SubsetCostSource : public CostSource {
   uint64_t calls_ = 0;
 };
 
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+void AddStructure(Configuration* config, const ScoredStructure& s) {
+  if (s.is_view) {
+    config->AddView(s.view);
+  } else {
+    config->AddIndex(s.index);
+  }
+}
+
+// Which queries of a query set each candidate structure can touch: those
+// whose applicability tests accept it (optimizer/relevance.h). Every
+// other query costs the same with or without the structure, to the bit.
+class RelevanceIndex {
+ public:
+  RelevanceIndex(const Workload& workload, const std::vector<QueryId>& ids)
+      : by_table_(workload.schema().num_tables()) {
+    footprints_.reserve(ids.size());
+    std::vector<TableId> tables;
+    for (uint32_t p = 0; p < ids.size(); ++p) {
+      footprints_.push_back(ComputeFootprint(workload.query(ids[p])));
+      const QueryFootprint& f = footprints_.back();
+      tables.clear();
+      for (const AccessFootprint& a : f.accesses) tables.push_back(a.table);
+      if (f.has_update) tables.push_back(f.update_table);
+      SortUnique(&tables);
+      for (TableId t : tables) by_table_[t].push_back(p);
+    }
+  }
+
+  // Positions (into the query set) of the queries s can touch, ascending.
+  std::vector<uint32_t> Touched(const ScoredStructure& s) const {
+    std::vector<uint32_t> out;
+    if (!s.is_view) {
+      for (uint32_t p : by_table_[s.index.table]) {
+        if (IndexRelevant(footprints_[p], s.index)) out.push_back(p);
+      }
+      return out;
+    }
+    // A matching query reads every view table; a maintaining one writes
+    // one of them.
+    for (TableId t : s.view.tables) {
+      for (uint32_t p : by_table_[t]) {
+        if (ViewRelevant(footprints_[p], s.view)) out.push_back(p);
+      }
+    }
+    SortUnique(&out);
+    return out;
+  }
+
+ private:
+  std::vector<QueryFootprint> footprints_;
+  // table -> positions of the queries that read or write it, ascending.
+  std::vector<std::vector<uint32_t>> by_table_;
+};
+
+// Per-query costs of a query set under a configuration that grows one
+// structure at a time. Pricing `config + s` re-costs only the queries s
+// can touch; every other query keeps its current cost. Totals sum
+// w * cost in query order, so each equals WeightedCost bit for bit.
+class ExtensionPricer {
+ public:
+  ExtensionPricer(const WhatIfOptimizer& optimizer, const Workload& workload,
+                  const std::vector<QueryId>& ids,
+                  const std::vector<double>& weights, Configuration config)
+      : optimizer_(optimizer),
+        workload_(workload),
+        ids_(ids),
+        weights_(weights),
+        config_(std::move(config)) {
+    PDX_CHECK(weights.empty() || weights.size() == ids.size());
+    costs_.reserve(ids.size());
+    for (QueryId q : ids) {
+      costs_.push_back(optimizer.Cost(workload.query(q), config_));
+    }
+    total_ = Sum(costs_);
+  }
+
+  const Configuration& config() const { return config_; }
+  double total() const { return total_; }
+
+  // Weighted total under config + s, given the positions s can touch;
+  // `costs` receives the per-query costs. A structure already in the
+  // configuration costs no call.
+  double Price(const ScoredStructure& s, const std::vector<uint32_t>& touched,
+               std::vector<double>* costs) const {
+    *costs = costs_;
+    if (s.is_view ? config_.ContainsView(s.view)
+                  : config_.ContainsIndex(s.index)) {
+      return total_;
+    }
+    Configuration ext = config_;
+    AddStructure(&ext, s);
+    for (uint32_t p : touched) {
+      (*costs)[p] = optimizer_.Cost(workload_.query(ids_[p]), ext);
+    }
+    return Sum(*costs);
+  }
+
+  // Adds s, taking `costs` from Price(s) on the current configuration.
+  void Add(const ScoredStructure& s, std::vector<double>* costs) {
+    PDX_CHECK(costs->size() == costs_.size());
+    AddStructure(&config_, s);
+    costs_.swap(*costs);
+    total_ = Sum(costs_);
+  }
+
+ private:
+  double Sum(const std::vector<double>& costs) const {
+    double total = 0.0;
+    for (size_t i = 0; i < costs.size(); ++i) {
+      double w = weights_.empty() ? 1.0 : weights_[i];
+      total += w * costs[i];
+    }
+    return total;
+  }
+
+  const WhatIfOptimizer& optimizer_;
+  const Workload& workload_;
+  const std::vector<QueryId>& ids_;
+  const std::vector<double>& weights_;
+  Configuration config_;
+  std::vector<double> costs_;
+  double total_ = 0.0;
+};
+
 }  // namespace
 
 double WeightedCost(const WhatIfOptimizer& optimizer, const Workload& workload,
@@ -92,118 +225,75 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
   const uint64_t calls_before = optimizer.num_calls();
 
   TuneResult result;
-  result.config = options.base_config;
-  result.config.set_name("tuned");
-  result.initial_cost =
-      WeightedCost(optimizer, workload, query_ids, weights, result.config);
-
-  // Candidate pool: per-query candidates of the subset, deduplicated and
-  // pre-scored by standalone benefit on the subset (beam pruning).
-  CandidateGenerator gen(schema, options.candidates);
+  std::optional<ExtensionPricer> pricer;
   std::vector<ScoredStructure> pool;
+  // Per pool structure: positions of the query_ids it can touch.
+  std::vector<std::vector<uint32_t>> touched;
+  std::vector<double> costs;
   {
-    std::unordered_map<uint64_t, size_t> seen;
+    obs::SpanScope score_span("score", "tuner");
+    Configuration start = options.base_config;
+    start.set_name("tuned");
+    pricer.emplace(optimizer, workload, query_ids, weights, std::move(start));
+    result.initial_cost = pricer->total();
+    const RelevanceIndex relevance(workload, query_ids);
+
+    // Candidate pool: per-query candidates of the subset, deduplicated and
+    // pre-scored by standalone benefit on the subset (beam pruning).
+    CandidateGenerator gen(schema, options.candidates);
+    std::unordered_set<uint64_t> seen;
     for (QueryId qid : query_ids) {
       QueryCandidates qc = gen.ForQuery(workload.query(qid));
       for (Index& idx : qc.indexes) {
-        uint64_t h = idx.Hash();
-        if (seen.emplace(h, pool.size()).second) {
-          ScoredStructure s;
-          s.is_view = false;
-          s.index = std::move(idx);
-          s.storage_bytes = s.index.StorageBytes(schema);
-          pool.push_back(std::move(s));
-        }
+        if (!seen.insert(idx.Hash()).second) continue;
+        ScoredStructure s;
+        s.index = std::move(idx);
+        s.storage_bytes = s.index.StorageBytes(schema);
+        pool.push_back(std::move(s));
       }
       for (MaterializedView& v : qc.views) {
-        uint64_t h = v.Hash();
-        if (seen.emplace(h, pool.size()).second) {
-          ScoredStructure s;
-          s.is_view = true;
-          s.view = std::move(v);
-          s.storage_bytes = s.view.StorageBytes(schema);
-          pool.push_back(std::move(s));
-        }
+        if (!seen.insert(v.Hash()).second) continue;
+        ScoredStructure s;
+        s.is_view = true;
+        s.view = std::move(v);
+        s.storage_bytes = s.view.StorageBytes(schema);
+        pool.push_back(std::move(s));
       }
     }
-  }
-  // Scoring set: the full tuning set, or a uniform subsample of it.
-  std::vector<QueryId> scoring_ids = query_ids;
-  std::vector<double> scoring_weights = weights;
-  if (options.scoring_sample_size > 0 &&
-      options.scoring_sample_size < query_ids.size()) {
-    std::vector<uint32_t> picks = rng->SampleWithoutReplacement(
-        query_ids.size(), options.scoring_sample_size);
-    scoring_ids.clear();
-    scoring_weights.clear();
-    for (uint32_t i : picks) {
-      scoring_ids.push_back(query_ids[i]);
-      if (!weights.empty()) scoring_weights.push_back(weights[i]);
-    }
-  }
-  double scoring_base_cost;
-  if (options.cache == WhatIfCacheMode::kSignature) {
-    // One signature source over [base, base+s_0, base+s_1, ...]: the
-    // scoring configurations differ from the base by a single structure,
-    // so for every query that structure can't influence, the base's
-    // optimizer call is reused. Sums run in the same per-query order as
-    // WeightedCost, so the benefits are bit-identical to the direct path.
-    std::vector<Configuration> scoring_configs;
-    scoring_configs.reserve(pool.size() + 1);
-    scoring_configs.push_back(options.base_config);
-    for (const ScoredStructure& s : pool) {
-      Configuration single = options.base_config;
-      if (s.is_view) {
-        single.AddView(s.view);
-      } else {
-        single.AddIndex(s.index);
+    // Standalone benefit on top of the deployed base configuration, on
+    // the full tuning set (whose base costs the pricer already holds) or
+    // on a uniform subsample of it.
+    auto score = [&](const ExtensionPricer& scorer,
+                     const RelevanceIndex& scoring_relevance) {
+      for (ScoredStructure& s : pool) {
+        s.benefit = scorer.total() -
+                    scorer.Price(s, scoring_relevance.Touched(s), &costs);
       }
-      scoring_configs.push_back(std::move(single));
-    }
-    SignatureCachingCostSource scorer(optimizer, workload,
-                                      std::move(scoring_configs), scoring_ids);
-    std::vector<QueryId> batch_qids(scoring_ids.size());
-    for (size_t i = 0; i < batch_qids.size(); ++i) {
-      batch_qids[i] = static_cast<QueryId>(i);
-    }
-    std::vector<double> batch_costs(scoring_ids.size(), 0.0);
-    auto weighted = [&](ConfigId c) {
-      // One batched sweep per candidate; the weighted sum runs in the same
-      // per-query order as the scalar loop, so totals are bit-identical.
-      scorer.CostMany(batch_qids, c, batch_costs);
-      double total = 0.0;
-      for (size_t i = 0; i < batch_costs.size(); ++i) {
-        double w = scoring_weights.empty() ? 1.0 : scoring_weights[i];
-        total += w * batch_costs[i];
-      }
-      return total;
     };
-    scoring_base_cost = weighted(0);
-    for (size_t s = 0; s < pool.size(); ++s) {
-      pool[s].benefit =
-          scoring_base_cost - weighted(static_cast<ConfigId>(s + 1));
-    }
-  } else {
-    scoring_base_cost = WeightedCost(optimizer, workload, scoring_ids,
-                                     scoring_weights, result.config);
-    for (ScoredStructure& s : pool) {
-      // Standalone benefit on top of the deployed base configuration.
-      Configuration single = options.base_config;
-      if (s.is_view) {
-        single.AddView(s.view);
-      } else {
-        single.AddIndex(s.index);
+    if (options.scoring_sample_size > 0 &&
+        options.scoring_sample_size < query_ids.size()) {
+      std::vector<QueryId> scoring_ids;
+      std::vector<double> scoring_weights;
+      for (uint32_t i : rng->SampleWithoutReplacement(
+               query_ids.size(), options.scoring_sample_size)) {
+        scoring_ids.push_back(query_ids[i]);
+        if (!weights.empty()) scoring_weights.push_back(weights[i]);
       }
-      s.benefit = scoring_base_cost - WeightedCost(optimizer, workload,
-                                                   scoring_ids,
-                                                   scoring_weights, single);
+      score(ExtensionPricer(optimizer, workload, scoring_ids, scoring_weights,
+                            pricer->config()),
+            RelevanceIndex(workload, scoring_ids));
+    } else {
+      score(*pricer, relevance);
+    }
+    std::sort(pool.begin(), pool.end(),
+              [](const ScoredStructure& a, const ScoredStructure& b) {
+                return a.benefit > b.benefit;
+              });
+    if (pool.size() > options.beam_width) pool.resize(options.beam_width);
+    for (const ScoredStructure& s : pool) {
+      touched.push_back(relevance.Touched(s));
     }
   }
-  std::sort(pool.begin(), pool.end(),
-            [](const ScoredStructure& a, const ScoredStructure& b) {
-              return a.benefit > b.benefit;
-            });
-  if (pool.size() > options.beam_width) pool.resize(options.beam_width);
 
   // §6.1 interval source for fault degradation AND for dynamic budget
   // refinement: one deriver per tune. base must be contained in every
@@ -216,20 +306,14 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
   if (options.use_comparison_primitive &&
       (options.faults.enabled() || dynamic_budget)) {
     Configuration rich = options.base_config;
-    for (const ScoredStructure& s : pool) {
-      if (s.is_view) {
-        rich.AddView(s.view);
-      } else {
-        rich.AddIndex(s.index);
-      }
-    }
+    for (const ScoredStructure& s : pool) AddStructure(&rich, s);
     bounds_deriver = std::make_unique<CostBoundsDeriver>(
         optimizer, workload, options.base_config, std::move(rich));
   }
 
-  double current_cost = result.initial_cost;
   std::vector<bool> used(pool.size(), false);
   uint64_t used_bytes = 0;
+  std::vector<double> winner_costs;
 
   for (uint32_t round = 0; round < options.max_structures; ++round) {
     TMetrics().rounds->Add();
@@ -244,26 +328,19 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
     }
     if (feasible.empty()) break;
 
-    auto extend = [&](size_t i) {
-      Configuration ext = result.config;
-      if (pool[i].is_view) {
-        ext.AddView(pool[i].view);
-      } else {
-        ext.AddIndex(pool[i].index);
-      }
-      return ext;
-    };
-
     int64_t winner = -1;
-    double winner_cost = current_cost;
+    double winner_cost = pricer->total();
     if (options.use_comparison_primitive) {
       PDX_CHECK_MSG(weights.empty(),
                     "comparison-primitive tuning requires unit weights");
       // Configs: current (index 0) plus each extension; the primitive
       // picks the best with probabilistic guarantees.
       std::vector<Configuration> round_configs;
-      round_configs.push_back(result.config);
-      for (size_t i : feasible) round_configs.push_back(extend(i));
+      round_configs.push_back(pricer->config());
+      for (size_t i : feasible) {
+        round_configs.push_back(pricer->config());
+        AddStructure(&round_configs.back(), pool[i]);
+      }
       // The round's extensions differ from the current configuration by
       // one structure each: signature caching collapses the per-round
       // what-if matrix down to the queries each structure can touch.
@@ -319,33 +396,29 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
       result.refined_queries += sel.refined_queries;
       if (sel.best == 0) break;  // keeping the current configuration wins
       winner = static_cast<int64_t>(feasible[sel.best - 1]);
-      winner_cost = WeightedCost(optimizer, workload, query_ids, weights,
-                                 round_configs[sel.best]);
+      winner_cost =
+          pricer->Price(pool[winner], touched[winner], &winner_costs);
     } else {
       for (size_t i : feasible) {
-        double c =
-            WeightedCost(optimizer, workload, query_ids, weights, extend(i));
+        double c = pricer->Price(pool[i], touched[i], &costs);
         if (c < winner_cost) {
           winner_cost = c;
           winner = static_cast<int64_t>(i);
+          winner_costs.swap(costs);
         }
       }
     }
 
-    if (winner < 0 || winner_cost >= current_cost) break;
+    if (winner < 0 || winner_cost >= pricer->total()) break;
     size_t w = static_cast<size_t>(winner);
-    if (pool[w].is_view) {
-      result.config.AddView(pool[w].view);
-    } else {
-      result.config.AddIndex(pool[w].index);
-    }
+    pricer->Add(pool[w], &winner_costs);
     used[w] = true;
     used_bytes += pool[w].storage_bytes;
-    current_cost = winner_cost;
     TMetrics().structures_added->Add();
   }
 
-  result.final_cost = current_cost;
+  result.config = pricer->config();
+  result.final_cost = pricer->total();
   result.optimizer_calls = optimizer.num_calls() - calls_before;
   return result;
 }

@@ -24,8 +24,8 @@ struct TunerOptions {
   /// Candidates kept after the initial scoring round (greedy beam).
   uint32_t beam_width = 24;
   /// Queries used for the initial per-structure benefit scoring; 0 scores
-  /// on the full tuning set (exact but |candidates| * |WL| optimizer
-  /// calls).
+  /// on the full tuning set (exact; one optimizer call per candidate and
+  /// query the candidate can touch).
   uint32_t scoring_sample_size = 0;
   /// Structures already deployed: tuning starts from this configuration,
   /// candidates are added on top, and improvement is measured against it.
@@ -33,12 +33,15 @@ struct TunerOptions {
   /// When true, each greedy round selects the winning extension with the
   /// sampling-based comparison primitive instead of exact evaluation.
   bool use_comparison_primitive = false;
-  /// What-if memoization tier for the scoring phase and (in primitive
-  /// mode) the per-round selections. kSignature shares one optimizer call
-  /// across every candidate configuration that agrees on a query's
-  /// relevant structures — the candidates of one greedy round differ by a
-  /// single structure, so nearly all of them do. Results are bit-identical
-  /// across tiers; only the call count changes.
+  /// What-if memoization tier for the per-round selections of the
+  /// primitive-driven mode; exact evaluation does not read it. kSignature
+  /// shares one optimizer call across every candidate configuration that
+  /// agrees on a query's relevant structures — the candidates of one
+  /// greedy round differ by a single structure, so nearly all of them do.
+  /// Scoring, winner repricing and exact rounds need no tier: they price
+  /// `current + s` by re-costing only the queries `s` can touch
+  /// (optimizer/relevance.h). Results are bit-identical across tiers;
+  /// only the call count changes.
   WhatIfCacheMode cache = WhatIfCacheMode::kOff;
   /// Selector settings for the primitive-driven mode.
   SelectorOptions selector;

@@ -44,9 +44,9 @@ TEST(IndexTest, WiderIndexUsesMoreStorage) {
 
 TEST(IndexTest, LevelsAtLeastOneAndGrowWithRows) {
   Schema schema = SmallTpcdSchema();
-  EXPECT_GE(MakeIndex(kRegion, {0}).Levels(schema), 1u);
-  EXPECT_GE(MakeIndex(kLineitem, {0}).Levels(schema),
-            MakeIndex(kRegion, {0}).Levels(schema));
+  EXPECT_GE(MakeIndex(kRegion, {0}).Geometry(schema).levels, 1u);
+  EXPECT_GE(MakeIndex(kLineitem, {0}).Geometry(schema).levels,
+            MakeIndex(kRegion, {0}).Geometry(schema).levels);
 }
 
 TEST(IndexTest, HashIdentity) {

@@ -1,10 +1,12 @@
 #include "tuner/enumerator.h"
 #include "tuner/greedy_tuner.h"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "optimizer/relevance.h"
 #include "test_util.h"
 
 namespace pdx {
@@ -200,6 +202,198 @@ TEST_F(TunerTest, ScoringSampleReducesCallsSimilarQuality) {
   uint64_t calls_sampled = opt_.num_calls();
   EXPECT_LT(calls_sampled, calls_exact);
   EXPECT_GT(r_sampled.Improvement(), 0.5 * r_exact.Improvement());
+}
+
+TEST_F(TunerTest, GreedyTuneIsBitIdenticalAcrossCacheTiers) {
+  // The cache tier only changes how the per-round selection source
+  // memoizes; designs and costs must agree to the last bit.
+  std::vector<QueryId> ids;
+  for (QueryId q = 0; q < wl_.size(); ++q) ids.push_back(q);
+  for (bool primitive : {false, true}) {
+    TunerOptions topt;
+    topt.max_structures = 4;
+    topt.beam_width = 10;
+    topt.use_comparison_primitive = primitive;
+    topt.selector.alpha = 0.85;
+    topt.selector.n_min = 20;
+    std::vector<TuneResult> runs;
+    for (WhatIfCacheMode mode :
+         {WhatIfCacheMode::kOff, WhatIfCacheMode::kExact,
+          WhatIfCacheMode::kSignature}) {
+      topt.cache = mode;
+      Rng rng(613);
+      runs.push_back(GreedyTune(opt_, wl_, ids, {}, topt, &rng));
+    }
+    for (size_t i = 1; i < runs.size(); ++i) {
+      SCOPED_TRACE("primitive=" + std::to_string(primitive) +
+                   " tier=" + std::to_string(i));
+      EXPECT_EQ(runs[i].config.indexes(), runs[0].config.indexes());
+      EXPECT_EQ(runs[i].config.views(), runs[0].config.views());
+      EXPECT_EQ(runs[i].initial_cost, runs[0].initial_cost);
+      EXPECT_EQ(runs[i].final_cost, runs[0].final_cost);
+    }
+    EXPECT_GT(runs[0].config.NumStructures(), 0u);
+  }
+}
+
+// Exact greedy tuning spelled out with whole-workload WeightedCost calls:
+// every candidate is scored and every extension priced on every query.
+struct ReferenceTune {
+  Configuration config;
+  double initial_cost = 0.0;
+  double final_cost = 0.0;
+};
+
+ReferenceTune BruteForceGreedy(const WhatIfOptimizer& opt, const Workload& wl,
+                               const std::vector<QueryId>& ids,
+                               const std::vector<double>& weights,
+                               const TunerOptions& o, Rng* rng) {
+  const Schema& schema = wl.schema();
+  const uint64_t budget = o.storage_budget_bytes > 0
+                              ? o.storage_budget_bytes
+                              : schema.TotalHeapBytes() * 2 / 5;
+  auto with = [](Configuration c, const ScoredStructure& s) {
+    if (s.is_view) {
+      c.AddView(s.view);
+    } else {
+      c.AddIndex(s.index);
+    }
+    return c;
+  };
+  CandidateGenerator gen(schema, o.candidates);
+  std::vector<ScoredStructure> pool;
+  std::set<uint64_t> seen;
+  for (QueryId q : ids) {
+    QueryCandidates qc = gen.ForQuery(wl.query(q));
+    for (Index& idx : qc.indexes) {
+      if (!seen.insert(idx.Hash()).second) continue;
+      ScoredStructure s;
+      s.index = std::move(idx);
+      s.storage_bytes = s.index.StorageBytes(schema);
+      pool.push_back(std::move(s));
+    }
+    for (MaterializedView& v : qc.views) {
+      if (!seen.insert(v.Hash()).second) continue;
+      ScoredStructure s;
+      s.is_view = true;
+      s.view = std::move(v);
+      s.storage_bytes = s.view.StorageBytes(schema);
+      pool.push_back(std::move(s));
+    }
+  }
+  std::vector<QueryId> scoring_ids = ids;
+  std::vector<double> scoring_weights = weights;
+  if (o.scoring_sample_size > 0 && o.scoring_sample_size < ids.size()) {
+    scoring_ids.clear();
+    scoring_weights.clear();
+    for (uint32_t i :
+         rng->SampleWithoutReplacement(ids.size(), o.scoring_sample_size)) {
+      scoring_ids.push_back(ids[i]);
+      if (!weights.empty()) scoring_weights.push_back(weights[i]);
+    }
+  }
+  const double scoring_base =
+      WeightedCost(opt, wl, scoring_ids, scoring_weights, o.base_config);
+  for (ScoredStructure& s : pool) {
+    s.benefit = scoring_base - WeightedCost(opt, wl, scoring_ids,
+                                            scoring_weights,
+                                            with(o.base_config, s));
+  }
+  std::sort(pool.begin(), pool.end(),
+            [](const ScoredStructure& a, const ScoredStructure& b) {
+              return a.benefit > b.benefit;
+            });
+  if (pool.size() > o.beam_width) pool.resize(o.beam_width);
+
+  ReferenceTune r;
+  r.config = o.base_config;
+  r.initial_cost = WeightedCost(opt, wl, ids, weights, r.config);
+  r.final_cost = r.initial_cost;
+  std::vector<bool> used(pool.size(), false);
+  uint64_t used_bytes = 0;
+  for (uint32_t round = 0; round < o.max_structures; ++round) {
+    int64_t best = -1;
+    double best_cost = r.final_cost;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (used[i] || used_bytes + pool[i].storage_bytes > budget) continue;
+      double c = WeightedCost(opt, wl, ids, weights, with(r.config, pool[i]));
+      if (c < best_cost) {
+        best_cost = c;
+        best = static_cast<int64_t>(i);
+      }
+    }
+    if (best < 0) break;
+    r.config = with(r.config, pool[best]);
+    used[best] = true;
+    used_bytes += pool[best].storage_bytes;
+    r.final_cost = best_cost;
+  }
+  return r;
+}
+
+TEST_F(TunerTest, ExactTuneMatchesBruteForceGreedy) {
+  std::vector<QueryId> ids;
+  std::vector<double> weights;
+  for (QueryId q = 0; q < wl_.size(); q += 2) {
+    ids.push_back(q);
+    weights.push_back(0.5 + 0.25 * static_cast<double>(q % 7));
+  }
+  Configuration base("deployed");
+  Index pk;
+  pk.table = kOrders;
+  pk.key_columns = {0};
+  base.AddIndex(pk);
+  for (uint32_t sample : {0u, 40u}) {
+    SCOPED_TRACE("scoring_sample_size=" + std::to_string(sample));
+    TunerOptions topt;
+    topt.max_structures = 5;
+    topt.beam_width = 12;
+    topt.scoring_sample_size = sample;
+    topt.base_config = base;
+    Rng rng1(614), rng2(614);
+    TuneResult got = GreedyTune(opt_, wl_, ids, weights, topt, &rng1);
+    ReferenceTune want = BruteForceGreedy(opt_, wl_, ids, weights, topt, &rng2);
+    EXPECT_EQ(got.config.indexes(), want.config.indexes());
+    EXPECT_EQ(got.config.views(), want.config.views());
+    EXPECT_EQ(got.initial_cost, want.initial_cost);
+    EXPECT_EQ(got.final_cost, want.final_cost);
+    EXPECT_GT(got.config.NumStructures(), base.NumStructures());
+  }
+}
+
+TEST_F(TunerTest, PoolStructureInBaseCostsNoCall) {
+  // With no rounds, a tune spends one call per query on the initial
+  // costing plus one per (candidate, query it can touch) on scoring. A
+  // candidate already deployed scores benefit 0 without any call, so
+  // deploying it saves exactly the queries it touches.
+  std::vector<QueryId> ids;
+  for (QueryId q = 0; q < wl_.size(); ++q) ids.push_back(q);
+  CandidateGenerator gen(schema_, CandidateGenOptions{});
+  QueryCandidates qc = gen.ForQuery(wl_.query(ids[0]));
+  ASSERT_FALSE(qc.indexes.empty());
+  const Index s = qc.indexes[0];
+  uint64_t touched = 0;
+  for (QueryId q : ids) {
+    if (IndexRelevant(ComputeFootprint(wl_.query(q)), s)) ++touched;
+  }
+  ASSERT_GT(touched, 0u);
+
+  TunerOptions topt;
+  topt.max_structures = 0;
+  Rng rng1(615), rng2(615);
+  TuneResult plain = GreedyTune(opt_, wl_, ids, {}, topt, &rng1);
+  topt.base_config.AddIndex(s);
+  TuneResult deployed = GreedyTune(opt_, wl_, ids, {}, topt, &rng2);
+  EXPECT_EQ(plain.optimizer_calls - deployed.optimizer_calls, touched);
+  EXPECT_EQ(deployed.final_cost, deployed.initial_cost);
+
+  // In a round, too, re-adding it is worth nothing and never wins.
+  topt.max_structures = 1;
+  topt.beam_width = 4;
+  Rng rng3(615);
+  TuneResult round = GreedyTune(opt_, wl_, ids, {}, topt, &rng3);
+  EXPECT_LE(round.config.NumStructures(), 2u);
+  EXPECT_TRUE(round.config.ContainsIndex(s));
 }
 
 TEST_F(TunerTest, WeightedCostMatchesManualSum) {
