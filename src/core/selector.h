@@ -150,8 +150,10 @@ class ConfigurationSelector {
 
  private:
   SelectionResult RunScheme(Rng* rng);
-  SelectionResult RunIndependent(Rng* rng);
-  SelectionResult RunDelta(Rng* rng);
+  /// Algorithm 1's round loop over either sampling scheme; `Scheme`
+  /// supplies the estimator, the pilot and the sample choice.
+  template <class Scheme>
+  SelectionResult RunRounds(Rng* rng);
 
   /// z-score required per pairwise comparison after Bonferroni splitting
   /// of (1 - alpha) across `active_pairs` comparisons.
