@@ -264,6 +264,28 @@ TEST(SelectorTest, EstimatesApproximateTrueTotals) {
   }
 }
 
+TEST(SelectorTest, IndependentReportsEliminatedConfigsAtTheirEstimate) {
+  // An eliminated configuration's sample and strata freeze when it leaves
+  // the race, so its reported estimate is the one it was eliminated at —
+  // never a placeholder 0, which would read as the cheapest configuration.
+  MatrixCostSource src = SyntheticMatrix(3000, 4, 8, 0.05, 93);
+  SelectorOptions opt;
+  opt.scheme = SamplingScheme::kIndependent;
+  opt.consecutive_to_stop = 5;
+  Rng rng(94);
+  SelectionResult r = ConfigurationSelector(&src, opt).Run(&rng);
+  ASSERT_EQ(r.estimates.size(), 4u);
+  size_t eliminated = 0;
+  for (ConfigId c = 0; c < 4; ++c) {
+    if (r.eliminated_at[c] == 0) continue;
+    ++eliminated;
+    const double truth = src.TotalCost(c);
+    EXPECT_NEAR(r.estimates[c], truth, 0.5 * truth) << "config " << c;
+    EXPECT_GT(r.estimates[c], r.estimates[r.best]) << "config " << c;
+  }
+  EXPECT_GT(eliminated, 0u);
+}
+
 class SelectorSchemeSweep
     : public ::testing::TestWithParam<std::tuple<SamplingScheme, bool>> {};
 
