@@ -80,24 +80,25 @@ void CostSource::CostUncertaintyAcross(QueryId q,
 WhatIfCostSource::WhatIfCostSource(const WhatIfOptimizer& optimizer,
                                    const Workload& workload,
                                    std::vector<Configuration> configs)
-    : optimizer_(optimizer),
-      workload_(workload),
-      configs_(std::move(configs)) {
+    : workload_(workload),
+      configs_(std::move(configs)),
+      terms_(optimizer, workload_, configs_) {
   PDX_CHECK(!configs_.empty());
 }
 
 double WhatIfCostSource::Cost(QueryId q, ConfigId c) {
   PDX_CHECK(q < workload_.size());
   PDX_CHECK(c < configs_.size());
-  // Span per call is affordable here: this tier is the real optimizer
-  // invocation, orders of magnitude above the span's two clock reads.
-  obs::SpanScope cold_span("cold", "cost");
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  CMetrics().whatif_calls->Add();
   // Every call through this tier is a cold optimizer invocation; the
-  // caching tiers above attribute their own hit latencies.
+  // caching tiers above attribute their own hit latencies. Over a warm
+  // term row a call is a few dozen loads, close to the cost of the span's
+  // two clock reads, so the span is decimated 1-in-64 like the selector's
+  // round phases (the latency histogram still sees every call).
+  const uint64_t n = calls_.fetch_add(1, std::memory_order_relaxed);
+  obs::SpanScope cold_span(obs::SampledSpanRound(n), "cold", "cost");
+  CMetrics().whatif_calls->Add();
   const uint64_t t0 = obs::TimerStart();
-  double cost = optimizer_.Cost(workload_.query(q), configs_[c]);
+  double cost = terms_.Cost(q, c);
   obs::TimerStop(t0, CMetrics().cold_ns);
   return cost;
 }
@@ -107,11 +108,10 @@ void WhatIfCostSource::CostMany(std::span<const QueryId> queries, ConfigId c,
   PDX_CHECK(queries.size() == out.size());
   PDX_CHECK(c < configs_.size());
   obs::SpanScope cold_span("cold_batch", "cost");
-  const Configuration& cfg = configs_[c];
   const uint64_t t0 = obs::TimerStart();
   for (size_t i = 0; i < queries.size(); ++i) {
     PDX_CHECK(queries[i] < workload_.size());
-    out[i] = optimizer_.Cost(workload_.query(queries[i]), cfg);
+    out[i] = terms_.Cost(queries[i], c);
   }
   calls_.fetch_add(queries.size(), std::memory_order_relaxed);
   CMetrics().whatif_calls->Add(queries.size());
@@ -123,11 +123,10 @@ void WhatIfCostSource::CostAcross(QueryId q, std::span<const ConfigId> configs,
   PDX_CHECK(configs.size() == out.size());
   PDX_CHECK(q < workload_.size());
   obs::SpanScope cold_span("cold_batch", "cost");
-  const Query& query = workload_.query(q);
   const uint64_t t0 = obs::TimerStart();
   for (size_t i = 0; i < configs.size(); ++i) {
     PDX_CHECK(configs[i] < configs_.size());
-    out[i] = optimizer_.Cost(query, configs_[configs[i]]);
+    out[i] = terms_.Cost(q, configs[i]);
   }
   calls_.fetch_add(configs.size(), std::memory_order_relaxed);
   CMetrics().whatif_calls->Add(configs.size());
@@ -422,63 +421,21 @@ SignatureCachingCostSource::SignatureCachingCostSource(
 
   // Intern every structure of every configuration: equal structures share
   // one id across configurations, which is what makes signatures
-  // comparable cross-config. Hash buckets are verified with full
-  // structural equality, so hash collisions cannot merge distinct
-  // structures.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index_buckets;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> view_buckets;
-  config_index_ids_.resize(configs_.size());
-  config_view_ids_.resize(configs_.size());
-  for (ConfigId c = 0; c < configs_.size(); ++c) {
-    const Configuration& cfg = configs_[c];
-    config_index_ids_[c].reserve(cfg.indexes().size());
-    for (const Index& idx : cfg.indexes()) {
-      std::vector<uint32_t>& bucket = index_buckets[idx.Hash()];
-      uint32_t id = UINT32_MAX;
-      for (uint32_t cand : bucket) {
-        if (interned_indexes_[cand] == idx) {
-          id = cand;
-          break;
-        }
-      }
-      if (id == UINT32_MAX) {
-        id = static_cast<uint32_t>(interned_indexes_.size());
-        interned_indexes_.push_back(idx);
-        bucket.push_back(id);
-      }
-      config_index_ids_[c].push_back(2 * id);  // even ids: indexes
-    }
-    config_view_ids_[c].reserve(cfg.views().size());
-    for (const MaterializedView& v : cfg.views()) {
-      std::vector<uint32_t>& bucket = view_buckets[v.Hash()];
-      uint32_t id = UINT32_MAX;
-      for (uint32_t cand : bucket) {
-        if (interned_views_[cand] == v) {
-          id = cand;
-          break;
-        }
-      }
-      if (id == UINT32_MAX) {
-        id = static_cast<uint32_t>(interned_views_.size());
-        interned_views_.push_back(v);
-        bucket.push_back(id);
-      }
-      config_view_ids_[c].push_back(2 * id + 1);  // odd ids: views
-    }
-  }
-
-  // Per-config sorted id lists: the signature of (q, c) is the relevant
-  // subsequence, already in order. Duplicate structures keep duplicate
-  // ids — the optimizer charges duplicated maintenance, so configurations
-  // with and without the duplicate must not share a signature.
+  // comparable cross-config. In the signature alphabet indexes take even
+  // ids and views odd ones. Each per-config list is sorted once: the
+  // signature of (q, c) is its relevant subsequence, already in order.
+  // Duplicate structures keep duplicate ids — the optimizer charges
+  // duplicated maintenance, so configurations with and without the
+  // duplicate must not share a signature.
+  const InternedStructures structures = InternStructures(configs_);
   config_sorted_ids_.resize(configs_.size());
   for (ConfigId c = 0; c < configs_.size(); ++c) {
     std::vector<uint32_t>& ids = config_sorted_ids_[c];
-    ids.reserve(config_index_ids_[c].size() + config_view_ids_[c].size());
-    ids.insert(ids.end(), config_index_ids_[c].begin(),
-               config_index_ids_[c].end());
-    ids.insert(ids.end(), config_view_ids_[c].begin(),
-               config_view_ids_[c].end());
+    ids.reserve(configs_[c].NumStructures());
+    for (uint32_t id : structures.config_index_ids[c]) ids.push_back(2 * id);
+    for (uint32_t id : structures.config_view_ids[c]) {
+      ids.push_back(2 * id + 1);
+    }
     std::sort(ids.begin(), ids.end());
   }
 
@@ -487,7 +444,7 @@ SignatureCachingCostSource::SignatureCachingCostSource(
   // per pair here and the per-lookup work drops to a byte test per
   // structure of the configuration. Rows are independent: fan out.
   relevant_stride_ =
-      2 * std::max(interned_indexes_.size(), interned_views_.size());
+      2 * std::max(structures.indexes.size(), structures.views.size());
   if (relevant_stride_ > 0 && !queries_.empty()) {
     relevant_.assign(queries_.size() * relevant_stride_, 0);
     GlobalThreadPool().ParallelFor(
@@ -495,11 +452,11 @@ SignatureCachingCostSource::SignatureCachingCostSource(
           for (size_t q = begin; q < end; ++q) {
             uint8_t* row = relevant_.data() + q * relevant_stride_;
             const QueryFootprint& f = footprints_[q];
-            for (size_t i = 0; i < interned_indexes_.size(); ++i) {
-              row[2 * i] = IndexRelevant(f, interned_indexes_[i]) ? 1 : 0;
+            for (size_t i = 0; i < structures.indexes.size(); ++i) {
+              row[2 * i] = IndexRelevant(f, structures.indexes[i]) ? 1 : 0;
             }
-            for (size_t v = 0; v < interned_views_.size(); ++v) {
-              row[2 * v + 1] = ViewRelevant(f, interned_views_[v]) ? 1 : 0;
+            for (size_t v = 0; v < structures.views.size(); ++v) {
+              row[2 * v + 1] = ViewRelevant(f, structures.views[v]) ? 1 : 0;
             }
           }
         });

@@ -11,8 +11,8 @@
 // Thread-safety: Cost() may be called concurrently from ThreadPool
 // workers on every implementation in this header — call accounting is
 // atomic and the underlying data is immutable after construction
-// (CachingCostSource fills each cache cell exactly once via
-// std::call_once).
+// (CachingCostSource fills each cache cell, and WhatIfCostSource each
+// statement's row of cost terms, exactly once via std::call_once).
 #pragma once
 
 #include <atomic>
@@ -94,9 +94,13 @@ class CostSource {
 };
 
 /// Live source: forwards to a WhatIfOptimizer over a workload and a
-/// configuration set. Results are not cached — each Cost() is a real
-/// optimizer invocation, as in the deployed tool (wrap in
-/// CachingCostSource to memoize).
+/// configuration set. Costs are not cached — each Cost() is a real
+/// optimizer call, counted as one, as in the deployed tool (wrap in
+/// CachingCostSource to memoize). What the source does memoize is the
+/// optimizer's per-(query, structure) terms (CostTermTable), so a call is
+/// assembled from terms earlier calls on the same query already computed;
+/// the values are bitwise the optimizer's, and the terms are freed with
+/// the source.
 class WhatIfCostSource : public CostSource {
  public:
   WhatIfCostSource(const WhatIfOptimizer& optimizer, const Workload& workload,
@@ -130,9 +134,9 @@ class WhatIfCostSource : public CostSource {
   const Workload& workload() const { return workload_; }
 
  private:
-  const WhatIfOptimizer& optimizer_;
   const Workload& workload_;
   std::vector<Configuration> configs_;
+  CostTermTable terms_;
   std::atomic<uint64_t> calls_{0};
 };
 
@@ -401,17 +405,9 @@ class SignatureCachingCostSource : public CostSource {
   size_t num_templates_ = 0;
   /// Per-query relevance footprints, computed once at construction.
   std::vector<QueryFootprint> footprints_;
-  /// Structures interned across all configurations: distinct structures
-  /// get distinct ids (indexes even, views odd), shared structures share
-  /// one id — the signature alphabet.
-  std::vector<Index> interned_indexes_;
-  std::vector<MaterializedView> interned_views_;
-  /// [config][position in config.indexes()/views()] -> interned id.
-  std::vector<std::vector<uint32_t>> config_index_ids_;
-  std::vector<std::vector<uint32_t>> config_view_ids_;
-  /// [config]: all interned ids of the configuration, pre-sorted — the
-  /// signature of (q, c) is the subsequence relevant to q, so building it
-  /// needs no sort.
+  /// [config]: the signature alphabet ids (indexes 2 * id, views
+  /// 2 * id + 1) of the configuration, pre-sorted — the signature of
+  /// (q, c) is the subsequence relevant to q, so building it needs no sort.
   std::vector<std::vector<uint32_t>> config_sorted_ids_;
   /// relevant_[q * relevant_stride_ + id]: can interned structure `id`
   /// influence query q's cost? Precomputed once per (query, structure) —

@@ -98,7 +98,11 @@ struct SelectionResult {
   uint64_t queries_sampled = 0;
   /// Optimizer calls spent (the scarce resource).
   uint64_t optimizer_calls = 0;
-  /// Final cost estimates per configuration (scaled to workload totals).
+  /// Cost estimates per configuration (scaled to workload totals): final
+  /// for the configurations still active at termination. A configuration
+  /// eliminated mid-run keeps its estimate at elimination, from the
+  /// samples drawn up to then, so the entries are not a ranking (an
+  /// eliminated configuration can read below the winner).
   std::vector<double> estimates;
   /// Number of strata per configuration at termination (size 1 vector for
   /// Delta Sampling's shared stratification).

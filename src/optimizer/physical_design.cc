@@ -241,4 +241,43 @@ uint64_t Configuration::Hash() const {
   return h;
 }
 
+namespace {
+
+// Returns the id of `s` in `pool`, appending it when new.
+template <typename Structure>
+uint32_t Intern(const Structure& s, std::vector<Structure>* pool,
+                std::unordered_map<uint64_t, std::vector<uint32_t>>* buckets) {
+  std::vector<uint32_t>& bucket = (*buckets)[s.Hash()];
+  for (uint32_t cand : bucket) {
+    if ((*pool)[cand] == s) return cand;
+  }
+  const uint32_t id = static_cast<uint32_t>(pool->size());
+  pool->push_back(s);
+  bucket.push_back(id);
+  return id;
+}
+
+}  // namespace
+
+InternedStructures InternStructures(
+    const std::vector<Configuration>& configs) {
+  InternedStructures out;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> index_buckets;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> view_buckets;
+  out.config_index_ids.resize(configs.size());
+  out.config_view_ids.resize(configs.size());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    out.config_index_ids[c].reserve(configs[c].indexes().size());
+    for (const Index& idx : configs[c].indexes()) {
+      out.config_index_ids[c].push_back(
+          Intern(idx, &out.indexes, &index_buckets));
+    }
+    out.config_view_ids[c].reserve(configs[c].views().size());
+    for (const MaterializedView& v : configs[c].views()) {
+      out.config_view_ids[c].push_back(Intern(v, &out.views, &view_buckets));
+    }
+  }
+  return out;
+}
+
 }  // namespace pdx

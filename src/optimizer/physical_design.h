@@ -149,4 +149,21 @@ class Configuration {
   std::unordered_map<TableId, std::vector<uint32_t>> views_by_table_;
 };
 
+/// The distinct structures of a configuration set, each kept once. Equal
+/// structures (full structural equality; hash buckets only narrow the
+/// search, so a collision cannot merge distinct structures) share one id
+/// across configurations, which is what lets per-structure memos — the
+/// signature cache's alphabet, the what-if cost terms — be shared across
+/// configurations.
+struct InternedStructures {
+  std::vector<Index> indexes;
+  std::vector<MaterializedView> views;
+  /// [config][position in indexes()/views()] -> id into indexes/views. A
+  /// structure listed twice keeps one id per listing.
+  std::vector<std::vector<uint32_t>> config_index_ids;
+  std::vector<std::vector<uint32_t>> config_view_ids;
+};
+
+InternedStructures InternStructures(const std::vector<Configuration>& configs);
+
 }  // namespace pdx

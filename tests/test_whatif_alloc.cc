@@ -1,14 +1,15 @@
 // Zero-allocation regression test for the what-if optimizer: Cost() and
-// CostParts() must not touch the heap on index-only configurations. This
-// binary replaces the global operator new/delete with counting versions,
-// which is why it is its own test executable.
+// CostParts() must not touch the heap on index-only configurations, and a
+// CostTermTable must not touch it on any configuration once a statement's
+// row of terms is filled. This binary replaces the global operator
+// new/delete with counting versions, which is why it is its own test
+// executable.
 //
-// Configurations with materialized views are excluded on purpose: view
-// matching (WhatIfOptimizer::ViewMatchCost) builds the query's join shape
-// in three small vectors, the one allocation the optimizer keeps. A
-// variant that skipped them with a view-size pre-check bought no
-// measurable time and raised peak RSS by ~10% on the TPC-D compare
-// benchmark (a heap-layout effect), so it stays as it is.
+// The memo-less path still allocates for a join query under a
+// configuration with materialized views: view matching builds the query's
+// join shape in three small vectors. The term table builds that shape
+// once, when it fills the statement's row, so the cost sources' hot path
+// (assembly over warm rows) allocates nothing, views included.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -19,6 +20,7 @@
 #include "optimizer/candidate_gen.h"
 #include "optimizer/what_if.h"
 #include "test_util.h"
+#include "workload/scenario.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -172,6 +174,82 @@ TEST(WhatIfAllocTest, CrmTraceWithDmlCostAllocatesNothing) {
   ASSERT_GT(configs.back().indexes().size(), 0u);
   WhatIfOptimizer opt(schema);
   Sweep s = CostEverything(opt, wl, configs);
+  EXPECT_EQ(s.calls, 2u * configs.size() * wl.size());
+  EXPECT_GT(s.checksum, 0.0);
+  EXPECT_EQ(s.allocations, 0u);
+}
+
+// Index-and-view configurations: every candidate index and view, and
+// every other one.
+std::vector<Configuration> ViewConfigs(const Schema& schema,
+                                       const Workload& wl) {
+  QueryCandidates all = CandidateGenerator(schema).ForWorkload(wl);
+  Configuration partial("partial"), rich("rich");
+  for (size_t i = 0; i < all.indexes.size(); ++i) {
+    if (i % 2 == 0) partial.AddIndex(all.indexes[i]);
+    rich.AddIndex(all.indexes[i]);
+  }
+  for (size_t v = 0; v < all.views.size(); ++v) {
+    if (v % 2 == 0) partial.AddView(all.views[v]);
+    rich.AddView(all.views[v]);
+  }
+  return {partial, rich};
+}
+
+// Fills every row of a term table, then sweeps it again over the warm
+// rows through Cost() and CostParts(), counting heap allocations across
+// the warm sweep only.
+Sweep WarmTermTableSweep(const WhatIfOptimizer& opt, const Workload& wl,
+                         const std::vector<Configuration>& configs) {
+  CostTermTable table(opt, wl, configs);
+  for (QueryId q = 0; q < wl.size(); ++q) table.Cost(q, 0);  // fills
+  Sweep s;
+  opt.ResetCallCounter();
+  const uint64_t before = Allocations();
+  for (ConfigId c = 0; c < configs.size(); ++c) {
+    for (QueryId q = 0; q < wl.size(); ++q) {
+      s.checksum += table.Cost(q, c);
+      CostSplit parts = table.CostParts(q, c);
+      s.checksum += parts.select + parts.update;
+    }
+  }
+  s.allocations = Allocations() - before;
+  s.calls = opt.num_calls();
+  return s;
+}
+
+TEST(WhatIfAllocTest, TermTableOverViewsAllocatesNothingWhenWarm) {
+  Schema schema = testing::SmallTpcdSchema();
+  Workload wl = testing::SmallTpcdWorkload(schema, 600);
+  std::vector<Configuration> configs = ViewConfigs(schema, wl);
+  ASSERT_GT(configs.back().views().size(), 0u);
+  WhatIfOptimizer opt(schema);
+  // A view does win somewhere, so view matching is on the measured path.
+  bool view_used = false;
+  for (const Query& q : wl.queries()) {
+    PlanExplanation e;
+    opt.CostExplained(q, configs.back(), &e);
+    view_used = view_used || e.used_view;
+  }
+  ASSERT_TRUE(view_used);
+  Sweep s = WarmTermTableSweep(opt, wl, configs);
+  EXPECT_EQ(s.calls, 2u * configs.size() * wl.size());
+  EXPECT_GT(s.checksum, 0.0);
+  EXPECT_EQ(s.allocations, 0u);
+}
+
+TEST(WhatIfAllocTest, TermTableOverDmlAndViewsAllocatesNothingWhenWarm) {
+  // A read/write scenario: UPDATE, INSERT and DELETE statements charge
+  // index and view maintenance.
+  Schema schema = testing::SmallTpcdSchema();
+  auto spec = ParseScenarioSpec("zipf:0.9,rw:0.6,n:600,seed:7");
+  ASSERT_TRUE(spec.ok());
+  Workload wl = GenerateScenarioWorkload(schema, *spec);
+  ASSERT_GT(wl.DmlFraction(), 0.2);
+  std::vector<Configuration> configs = ViewConfigs(schema, wl);
+  ASSERT_GT(configs.back().views().size(), 0u);
+  WhatIfOptimizer opt(schema);
+  Sweep s = WarmTermTableSweep(opt, wl, configs);
   EXPECT_EQ(s.calls, 2u * configs.size() * wl.size());
   EXPECT_GT(s.checksum, 0.0);
   EXPECT_EQ(s.allocations, 0u);
